@@ -1,17 +1,24 @@
 GO ?= go
 
-.PHONY: all build lint vet test race torture bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
+.PHONY: all build lint fmt-check vet test race torture bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-# lint = the compiler's vet plus DeNOVA's own analyzers (persistcheck,
-# atomcheck, fencecheck, lockcheck, atomfieldcheck — see internal/analysis).
-lint:
+# lint = gofmt, the compiler's vet, plus DeNOVA's own analyzers
+# (persistcheck, atomcheck, fencecheck, lockcheck, atomfieldcheck — see
+# internal/analysis).
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/denova-vet ./...
+
+# fmt-check fails listing every Go file gofmt would rewrite (the
+# benchmark's build directory is skipped).
+fmt-check:
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # vet = the same analyzers, but emitting the machine-readable report CI
 # uploads as an artifact. Exit 1 on any non-baseline finding (the tree

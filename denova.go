@@ -317,12 +317,15 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	if cfg.Mode == ModeNone {
 		start := time.Now()
 		before := dev.Stats()
-		table.RecoverStructure()
+		_, err := table.RecoverStructure()
 		info.Passes = append(info.Passes, RecoveryPass{
 			Name: "fact-structure",
 			Wall: time.Since(start),
 			Pmem: dev.Stats().Sub(before),
 		})
+		if err != nil {
+			return nil, nil, err
+		}
 		if table.LiveEntries() > 0 {
 			return nil, nil, fmt.Errorf("denova: device holds deduplicated data; mount with a dedup mode, not ModeNone")
 		}
@@ -336,7 +339,10 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	f.table.ReorderEnabled = !cfg.DisableReorder
 	f.engine = dedup.NewEngine(nfs, f.table)
 	f.initObs()
-	info.Dedup = dedup.Recover(f.engine, scan)
+	info.Dedup, err = dedup.Recover(f.engine, scan)
+	if err != nil {
+		return nil, nil, err
+	}
 	info.Passes = append(info.Passes, info.Dedup.Passes...)
 	f.feedRecovery(info)
 	f.recovery = info

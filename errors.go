@@ -3,6 +3,7 @@ package denova
 import (
 	"errors"
 
+	"denova/internal/layout"
 	"denova/internal/nova"
 )
 
@@ -34,6 +35,10 @@ var (
 	// caller should back off and retry. Never returned by the in-process
 	// API.
 	ErrRetry = errors.New("denova: server busy, retry")
+	// ErrCorrupt: Mount found a structurally invalid persistent image —
+	// state no crash can leave behind, such as a FACT entry naming a block
+	// outside the data region. The wrapped message names the location.
+	ErrCorrupt = layout.ErrCorrupt
 )
 
 // Deprecated aliases kept for source compatibility with the pre-serving

@@ -59,14 +59,21 @@ func timedPhase(dev *pmem.Device, rep *RecoveryReport, name string, fn func()) {
 //  5. Rebuild the DWQ: from the clean-shutdown snapshot when one is valid,
 //     otherwise from the dedupe_needed entries found by the log scan
 //     (Handling I/III).
-func Recover(e *Engine, scan *nova.ScanResult) RecoveryReport {
+//
+// A structurally corrupt FACT stops recovery after step 1 with an error
+// wrapping layout.ErrCorrupt.
+func Recover(e *Engine, scan *nova.ScanResult) (RecoveryReport, error) {
 	var rep RecoveryReport
 	fs, table := e.fs, e.table
 
 	// (1) Structure.
+	var err error
 	timedPhase(fs.Dev, &rep, "fact-structure", func() {
-		rep.Fact = table.RecoverStructure()
+		rep.Fact, err = table.RecoverStructure()
 	})
+	if err != nil {
+		return rep, err
+	}
 
 	// (2) Resume in-process transactions.
 	timedPhase(fs.Dev, &rep, "dedup-resume", func() {
@@ -131,7 +138,7 @@ func Recover(e *Engine, scan *nova.ScanResult) RecoveryReport {
 		Invalidate(fs.Dev, fs.Geo.DWQSaveOff)
 		nova.SetDWQOverflowFlag(fs.Dev, false)
 	})
-	return rep
+	return rep, nil
 }
 
 // SaveDWQ persists the queue at clean unmount and raises the overflow flag

@@ -146,7 +146,7 @@ func (t *Table) PrefixOf(fp FP) uint64 {
 }
 
 func (t *Table) entryOff(idx uint64) int64 {
-	if int64(idx) >= t.total {
+	if idx >= uint64(t.total) {
 		panic(fmt.Sprintf("fact: entry index %d out of range (%d entries)", idx, t.total))
 	}
 	return t.base + int64(idx)*EntrySize
@@ -232,10 +232,15 @@ func (t *Table) EntryAt(idx uint64) Entry {
 	}
 }
 
+// inData reports whether block lies in the data region.
+func (t *Table) inData(block uint64) bool {
+	return block >= t.dataStart && block-t.dataStart < uint64(t.numData)
+}
+
 // relBlock converts an absolute block number to the delete-pointer slot
 // index. Panics if the block is outside the data region.
 func (t *Table) relBlock(block uint64) uint64 {
-	if block < t.dataStart || int64(block-t.dataStart) >= t.numData {
+	if !t.inData(block) {
 		panic(fmt.Sprintf("fact: block %d outside data region", block))
 	}
 	return block - t.dataStart

@@ -891,7 +891,10 @@ func TestRecoveryWorkersDeterministic(t *testing.T) {
 	run := func(img *pmem.Device, workers int) (RecoverStats, []byte) {
 		rt := Attach(img, Config{Base: 0, PrefixBits: tPrefixBits, DataStart: tDataStart, NumData: tNumData})
 		rt.RecoveryWorkers = workers
-		rs := rt.RecoverStructure()
+		rs, err := rt.RecoverStructure()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		zs := rt.ZeroAllUC()
 		rs.add(zs)
 		ss, _ := rt.Scrub(func(b uint64) bool { return b%2 == 0 }) // drop odd blocks

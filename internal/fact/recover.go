@@ -1,8 +1,10 @@
 package fact
 
 import (
+	"fmt"
 	"sync"
 
+	"denova/internal/layout"
 	"denova/internal/pmem"
 )
 
@@ -11,7 +13,7 @@ import (
 // chain repair and UC discarding:
 //
 //	t := fact.Attach(dev, cfg)
-//	t.RecoverStructure()        // chains, free list, delete pointers
+//	t.RecoverStructure()        // chains, free list, delete pointers; ErrCorrupt stops the mount
 //	<dedup engine resumes in-process entries: CommitTxnByBlock(...)>
 //	t.ZeroAllUC()               // discard counts of failed transactions
 //	t.Scrub(inUse)              // drop entries whose block was reclaimed
@@ -29,6 +31,10 @@ import (
 // order, which yields the same persistent image as the sequential sweep
 // (unlinks of distinct entries commute, and removing an entry never moves
 // another: a removed DAA head stays in place as an unoccupied anchor).
+//
+// Every index sweep reads the region a page (64 entries) per device access
+// through sweep; only chain walks, which follow pointers, read entry by
+// entry. Shard boundaries fall on page boundaries so no page is read twice.
 
 // Attach opens an existing FACT region without zeroing it. The IAA free
 // list starts empty; RecoverStructure rebuilds it.
@@ -69,7 +75,8 @@ func (t *Table) recoveryWorkers() int {
 	return w
 }
 
-// shardRanges splits [lo, hi) into at most w contiguous ascending ranges.
+// shardRanges splits [lo, hi) into at most w contiguous ascending ranges
+// whose inner boundaries fall on sweep-page boundaries.
 func shardRanges(lo, hi int64, w int) [][2]int64 {
 	if hi <= lo {
 		return nil
@@ -79,22 +86,87 @@ func shardRanges(lo, hi int64, w int) [][2]int64 {
 	}
 	out := make([][2]int64, 0, w)
 	n := hi - lo
-	for i := 0; i < w; i++ {
-		s := lo + n*int64(i)/int64(w)
-		e := lo + n*int64(i+1)/int64(w)
+	s := lo
+	for i := 1; i <= w; i++ {
+		e := hi
+		if i < w {
+			cut := lo + n*int64(i)/int64(w)
+			e = min(hi, (cut+entriesPerPage-1)/entriesPerPage*entriesPerPage)
+		}
 		if e > s {
 			out = append(out, [2]int64{s, e})
+			s = e
 		}
 	}
 	return out
+}
+
+const (
+	// entriesPerPage is how many entries one sweep read covers.
+	entriesPerPage = pmem.PageSize / EntrySize
+	wordsPerEntry  = EntrySize / 8
+)
+
+// entryWords is one entry as a sweep decodes it: the eight 8-byte words of
+// its cache line.
+type entryWords [wordsPerEntry]uint64
+
+func (e *entryWords) counts() (rfc, uc uint32) {
+	w := e[feCounts/8]
+	return uint32(w), uint32(w >> 32)
+}
+func (e *entryWords) occupied() bool { return e[feCounts/8] != 0 }
+func (e *entryWords) block() uint64  { return e[feBlock/8] }
+func (e *entryWords) prev() uint64   { return e[fePrev/8] }
+func (e *entryWords) next() uint64   { return e[feNext/8] }
+func (e *entryWords) delPtr() uint64 { return e[feDelPtr/8] }
+
+// loadEntry reads the whole entry at idx in one device access.
+func (t *Table) loadEntry(idx uint64, e *entryWords) {
+	t.dev.LoadWords(t.entryOff(idx), e[:])
+}
+
+// sweep calls fn for every entry in [lo, hi) in ascending order, reading
+// the region one page of entries per device access. Each word is read
+// atomically, but fn sees an entry as it was when its page was read, so fn
+// may only mutate the entry it is visiting; mutations that cross entries
+// must be collected and applied after the sweep.
+func (t *Table) sweep(lo, hi int64, fn func(idx uint64, e *entryWords)) {
+	var page [entriesPerPage * wordsPerEntry]uint64
+	for i := lo; i < hi; {
+		end := min(hi, (i/entriesPerPage+1)*entriesPerPage)
+		words := page[:(end-i)*int64(wordsPerEntry)]
+		t.dev.LoadWords(t.entryOff(uint64(i)), words)
+		for k := 0; i < end; i, k = i+1, k+wordsPerEntry {
+			fn(uint64(i), (*entryWords)(words[k:]))
+		}
+	}
+}
+
+// shardedSweep sweeps [lo, hi) with one goroutine per shardRanges range
+// and returns when all are done. fn receives the shard's position, in
+// ascending range order, so callers can keep per-shard results and merge
+// them in index order.
+func (t *Table) shardedSweep(lo, hi int64, fn func(shard int, idx uint64, e *entryWords)) {
+	var wg sync.WaitGroup
+	for w, r := range shardRanges(lo, hi, t.recoveryWorkers()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.sweep(r[0], r[1], func(idx uint64, e *entryWords) { fn(w, idx, e) })
+		}()
+	}
+	wg.Wait()
 }
 
 // RecoverStructure walks every chain, completing any interrupted reorder
 // (commit flag protocol), rebuilding prev pointers, unlinking half-removed
 // entries, validating delete pointers, and rebuilding the IAA free list.
 // It must run before the table serves lookups. The DAA chain walk and the
-// IAA sweep are partitioned by index range across RecoveryWorkers.
-func (t *Table) RecoverStructure() RecoverStats {
+// IAA sweep are partitioned by index range across RecoveryWorkers. An
+// occupied entry naming a block outside the data region fails recovery
+// with an error wrapping layout.ErrCorrupt.
+func (t *Table) RecoverStructure() (RecoverStats, error) {
 	var rs RecoverStats
 	workers := t.recoveryWorkers()
 
@@ -104,22 +176,17 @@ func (t *Table) RecoverStructure() RecoverStats {
 		rs        RecoverStats
 		reachable map[uint64]bool
 	}
-	chainShards := make([]chainShard, 0, workers)
-	rngs := shardRanges(0, t.daa, workers)
-	var wg sync.WaitGroup
-	for range rngs {
-		chainShards = append(chainShards, chainShard{reachable: make(map[uint64]bool)})
+	chainShards := make([]chainShard, workers)
+	for i := range chainShards {
+		chainShards[i].reachable = make(map[uint64]bool)
 	}
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *chainShard, lo, hi int64) {
-			defer wg.Done()
-			for p := uint64(lo); int64(p) < hi; p++ {
-				t.recoverChain(p, sh.reachable, &sh.rs)
-			}
-		}(&chainShards[w], r[0], r[1])
-	}
-	wg.Wait()
+	t.shardedSweep(0, t.daa, func(w int, p uint64, head *entryWords) {
+		// A head with no reorder flag and no overflow entries has nothing
+		// to repair.
+		if head.prev() != None || head.next() != None {
+			t.recoverChain(p, head, chainShards[w].reachable, &chainShards[w].rs)
+		}
+	})
 	reachable := make(map[uint64]bool)
 	for i := range chainShards {
 		rs.add(chainShards[i].rs)
@@ -138,26 +205,18 @@ func (t *Table) RecoverStructure() RecoverStats {
 		free    []uint64
 	}
 	iaaShards := make([]iaaShard, workers)
-	rngs = shardRanges(t.daa, t.total, workers)
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *iaaShard, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if reachable[idx] {
-					continue
-				}
-				if t.occupied(idx) {
-					t.dev.PersistStore64(t.entryOff(idx)+feCounts, 0)
-					t.clearSlot(idx)
-					sh.cleared++
-				}
-				sh.free = append(sh.free, idx)
-			}
-		}(&iaaShards[w], r[0], r[1])
-	}
-	wg.Wait()
+	t.shardedSweep(t.daa, t.total, func(w int, idx uint64, e *entryWords) {
+		if reachable[idx] {
+			return
+		}
+		sh := &iaaShards[w]
+		if e.occupied() {
+			t.dev.PersistStore64(t.entryOff(idx)+feCounts, 0)
+			t.clearSlot(idx)
+			sh.cleared++
+		}
+		sh.free = append(sh.free, idx)
+	})
 	t.iamu.Lock()
 	t.iaaFree = t.iaaFree[:0]
 	for i := range iaaShards {
@@ -166,31 +225,40 @@ func (t *Table) RecoverStructure() RecoverStats {
 	}
 	t.iamu.Unlock()
 
-	rs.DelPtrsFixed = t.fixDeletePointers()
-	return rs
+	fixed, err := t.fixDeletePointers()
+	rs.DelPtrsFixed = fixed
+	return rs, err
 }
 
-// recoverChain repairs the chain anchored at DAA slot p: it resumes an
-// interrupted reorder, rebuilds prev pointers, and unlinks ghost entries,
-// recording every live chain member in reachable.
-func (t *Table) recoverChain(p uint64, reachable map[uint64]bool, rs *RecoverStats) {
-	if t.recoverReorder(p) {
-		rs.ReordersResumed++
+// recoverChain repairs the chain anchored at DAA slot p, whose entry the
+// caller has already read: it resumes an interrupted reorder, rebuilds
+// prev pointers, and unlinks ghost entries, recording every live chain
+// member in reachable. Each member costs one device read.
+func (t *Table) recoverChain(p uint64, head *entryWords, reachable map[uint64]bool, rs *RecoverStats) {
+	cur := head.next()
+	if head.prev() != None {
+		// Raised commit flag: finish the reorder, which rewrites the links.
+		if t.recoverReorder(p) {
+			rs.ReordersResumed++
+		}
+		cur = t.next(p)
 	}
 	// Walk the chain, fixing prevs and unlinking ghosts. Cycle guard:
 	// a corrupted region (e.g. never initialized) must not hang
-	// recovery — the chain is truncated at the first repeated entry.
+	// recovery — the chain is truncated at the first repeated entry, or
+	// at the first pointer past the table.
 	prev := p
-	cur := t.next(p)
 	visited := map[uint64]bool{}
+	var e entryWords
 	for cur != None {
-		if int64(cur) >= t.total || visited[cur] {
+		if cur >= uint64(t.total) || visited[cur] {
 			t.setNext(prev, None)
 			break
 		}
 		visited[cur] = true
-		nxt := t.next(cur)
-		if !t.occupied(cur) {
+		t.loadEntry(cur, &e)
+		nxt := e.next()
+		if !e.occupied() {
 			// Half-inserted or half-removed IAA entry: unlink.
 			t.setNext(prev, nxt)
 			if nxt != None {
@@ -201,7 +269,7 @@ func (t *Table) recoverChain(p uint64, reachable map[uint64]bool, rs *RecoverSta
 			cur = nxt
 			continue
 		}
-		if t.prev(cur) != prev {
+		if e.prev() != prev {
 			t.setPrev(cur, prev)
 			rs.PrevsFixed++
 		}
@@ -229,62 +297,59 @@ func (t *Table) clearSlot(idx uint64) {
 // to None. Both the entry scan and the slot sweep shard by range; the
 // per-worker want-maps merge in ascending range order, so if two entries
 // ever claim the same block (corrupt image) the higher index wins, exactly
-// as in the sequential scan.
-func (t *Table) fixDeletePointers() int {
+// as in the sequential scan. An occupied entry whose block lies outside
+// the data region is reported, lowest index first, as layout.ErrCorrupt
+// before any slot is rewritten.
+func (t *Table) fixDeletePointers() (int, error) {
 	workers := t.recoveryWorkers()
 
-	wantShards := make([]map[uint64]uint64, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			want := make(map[uint64]uint64)
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if !t.occupied(idx) {
-					continue
-				}
-				want[t.relBlock(t.block(idx))] = idx
-			}
-			wantShards[w] = want
-		}(w, r[0], r[1])
+	type wantShard struct {
+		want map[uint64]uint64 // relBlock -> entry idx
+		bad  []uint64          // occupied entries with an out-of-region block
 	}
-	wg.Wait()
-	want := make(map[uint64]uint64) // relBlock -> entry idx
+	wantShards := make([]wantShard, workers)
+	for i := range wantShards {
+		wantShards[i].want = make(map[uint64]uint64)
+	}
+	t.shardedSweep(0, t.total, func(w int, idx uint64, e *entryWords) {
+		if !e.occupied() {
+			return
+		}
+		sh := &wantShards[w]
+		if !t.inData(e.block()) {
+			sh.bad = append(sh.bad, idx)
+			return
+		}
+		sh.want[e.block()-t.dataStart] = idx
+	})
+	want := make(map[uint64]uint64)
 	for _, sh := range wantShards {
-		for k, v := range sh {
+		if len(sh.bad) > 0 {
+			idx := sh.bad[0]
+			return 0, fmt.Errorf("%w: FACT entry %d names block %d, outside the data region [%d, %d)",
+				layout.ErrCorrupt, idx, t.block(idx), t.dataStart, t.dataStart+uint64(t.numData))
+		}
+		for k, v := range sh.want {
 			want[k] = v
 		}
 	}
 
 	fixedBy := make([]int, workers)
-	rngs = shardRanges(0, t.numData, workers)
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				slotOff := t.entryOff(uint64(r)) + feDelPtr
-				cur := t.dev.Load64(slotOff)
-				wv, ok := want[uint64(r)]
-				if !ok {
-					wv = None
-				}
-				if cur != wv {
-					t.dev.PersistStore64(slotOff, wv)
-					fixedBy[w]++
-				}
-			}
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+	t.shardedSweep(0, t.numData, func(w int, r uint64, e *entryWords) {
+		wv, ok := want[r]
+		if !ok {
+			wv = None
+		}
+		if e.delPtr() != wv {
+			t.dev.PersistStore64(t.entryOff(r)+feDelPtr, wv)
+			fixedBy[w]++
+		}
+	})
 	fixed := 0
 	for _, n := range fixedBy {
 		fixed += n
 	}
-	return fixed
+	return fixed, nil
 }
 
 // ZeroAllUC discards the update counts of transactions that never resumed
@@ -304,28 +369,19 @@ func (t *Table) ZeroAllUC() RecoverStats {
 		drops     []uint64
 	}
 	shards := make([]ucShard, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(sh *ucShard, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				rfc, uc := t.counts(idx)
-				if uc == 0 {
-					continue
-				}
-				sh.discarded++
-				if rfc == 0 {
-					sh.drops = append(sh.drops, idx)
-					continue
-				}
-				t.dev.PersistStore64(t.entryOff(idx)+feCounts, uint64(rfc))
-			}
-		}(&shards[w], r[0], r[1])
-	}
-	wg.Wait()
+	t.shardedSweep(0, t.total, func(w int, idx uint64, e *entryWords) {
+		rfc, uc := e.counts()
+		if uc == 0 {
+			return
+		}
+		sh := &shards[w]
+		sh.discarded++
+		if rfc == 0 {
+			sh.drops = append(sh.drops, idx)
+			return
+		}
+		t.dev.PersistStore64(t.entryOff(idx)+feCounts, uint64(rfc))
+	})
 	for i := range shards {
 		rs.UCsDiscarded += shards[i].discarded
 		for _, idx := range shards[i].drops {
@@ -351,32 +407,19 @@ func (t *Table) Scrub(inUse func(block uint64) bool) (RecoverStats, []uint64) {
 		idx, block uint64
 	}
 	candShards := make([][]cand, workers)
-	rngs := shardRanges(0, t.total, workers)
-	var wg sync.WaitGroup
-	for w, r := range rngs {
-		wg.Add(1)
-		go func(w int, lo, hi int64) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				idx := uint64(i)
-				if !t.occupied(idx) {
-					continue
-				}
-				if _, uc := t.counts(idx); uc > 0 {
-					// An open transaction is about to reference this block;
-					// the next scrub pass will catch it if the transaction
-					// dies.
-					continue
-				}
-				b := t.block(idx)
-				if inUse(b) {
-					continue
-				}
-				candShards[w] = append(candShards[w], cand{idx, b})
-			}
-		}(w, r[0], r[1])
-	}
-	wg.Wait()
+	t.shardedSweep(0, t.total, func(w int, idx uint64, e *entryWords) {
+		if !e.occupied() {
+			return
+		}
+		if _, uc := e.counts(); uc > 0 {
+			// An open transaction is about to reference this block; the
+			// next scrub pass will catch it if the transaction dies.
+			return
+		}
+		if b := e.block(); !inUse(b) {
+			candShards[w] = append(candShards[w], cand{idx, b})
+		}
+	})
 
 	var dropped []uint64
 	for _, sh := range candShards {

@@ -153,10 +153,10 @@ func TestBenchReportGolden(t *testing.T) {
 
 func TestBenchSlug(t *testing.T) {
 	cases := map[string]string{
-		"DeNOVA-Immediate":      "denova-immediate",
+		"DeNOVA-Immediate":          "denova-immediate",
 		"DeNOVA-Delayed(750,20000)": "denova-delayed-750-20000",
-		"Baseline NOVA":         "baseline-nova",
-		"dup50-4m":              "dup50-4m",
+		"Baseline NOVA":             "baseline-nova",
+		"dup50-4m":                  "dup50-4m",
 	}
 	for in, want := range cases {
 		if got := benchSlug(in); got != want {
@@ -189,9 +189,9 @@ func TestTracingOffOverheadGate(t *testing.T) {
 		pages  = 2000
 		rounds = 5
 
-		bareFS = iota - 2 // no observer at all
-		traceOff          // observer, TraceOff
-		traceOffCapture   // observer, TraceOff, slow-span capture armed
+		bareFS          = iota - 2 // no observer at all
+		traceOff                   // observer, TraceOff
+		traceOffCapture            // observer, TraceOff, slow-span capture armed
 	)
 	data := make([]byte, 4096)
 	for i := range data {

@@ -66,10 +66,12 @@ func MeasureTfTw(sizes []int, iters int, prof pmem.LatencyProfile) []TfTwResult 
 	// than wall time: on hosts with very few cores, the yielding spin-waits
 	// overshoot at microsecond scale and would report scheduler noise. The
 	// CPU-side SHA-1/CRC work is real computation and is measured by wall
-	// clock, where it is stable.
+	// clock, reported as the per-iteration median so that one preemption
+	// inside a short run cannot swing the mean.
 	for _, size := range sizes {
 		var twSim, lookupSim int64
-		var hashWall, weakWall time.Duration
+		hashWall := make([]time.Duration, 0, iters)
+		weakWall := make([]time.Duration, 0, iters)
 		for it := 0; it < iters; it++ {
 			data := gen.FileData(it)[:size]
 			// T_w: the non-temporal store of the payload.
@@ -86,7 +88,7 @@ func MeasureTfTw(sizes []int, iters int, prof pmem.LatencyProfile) []TfTwResult 
 				}
 				fps = append(fps, dedup.Strong(data[c:end]))
 			}
-			hashWall += time.Since(start)
+			hashWall = append(hashWall, time.Since(start))
 			// T_f part 2: duplicate lookup (simulated NVM time).
 			before = dev.Stats().SimLatencyNs
 			for _, fp := range fps {
@@ -102,14 +104,14 @@ func MeasureTfTw(sizes []int, iters int, prof pmem.LatencyProfile) []TfTwResult 
 				}
 				dedup.Weak(data[c:end])
 			}
-			weakWall += time.Since(start)
+			weakWall = append(weakWall, time.Since(start))
 		}
 		n := time.Duration(iters)
 		out = append(out, TfTwResult{
 			WriteSize: size,
 			Tw:        time.Duration(twSim) / n,
-			Tf:        hashWall/n + time.Duration(lookupSim)/n,
-			Tfw:       weakWall / n,
+			Tf:        medianDuration(hashWall) + time.Duration(lookupSim)/n,
+			Tfw:       medianDuration(weakWall),
 		})
 	}
 	return out

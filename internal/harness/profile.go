@@ -52,18 +52,18 @@ func (o *ProfileOptions) fill(writeBytes int64, prof workload.Profile) {
 
 // ProfileResult is one profile run's measurement.
 type ProfileResult struct {
-	Model    string
-	Profile  string
-	Threads  int
-	Ops      int64            // ops executed
-	OpCounts map[string]int64 // per-kind op counts
-	Elapsed  time.Duration    // replay phase
-	Drain    time.Duration    // additional background-dedup drain
-	Bytes    int64            // bytes written (write+append payloads)
-	Read     int64            // bytes read back
-	Savings  float64          // post-drain dedup savings
+	Model     string
+	Profile   string
+	Threads   int
+	Ops       int64            // ops executed
+	OpCounts  map[string]int64 // per-kind op counts
+	Elapsed   time.Duration    // replay phase
+	Drain     time.Duration    // additional background-dedup drain
+	Bytes     int64            // bytes written (write+append payloads)
+	Read      int64            // bytes read back
+	Savings   float64          // post-drain dedup savings
 	QueuePeak int
-	Dev      pmem.Stats
+	Dev       pmem.Stats
 	// Latency holds one histogram summary per op type ("op.create",
 	// "op.read", ...), recorded via internal/obs around each replayed op.
 	Latency map[string]obs.HistogramStats
@@ -277,18 +277,18 @@ func RunProfile(cfg FSConfig, prof workload.Profile, opts ProfileOptions) (Profi
 	drain := time.Since(drainStart)
 
 	res := ProfileResult{
-		Model:   cfg.Label(),
-		Profile: prof.Name,
-		Threads: opts.Threads,
-		Ops:     int64(len(ops)),
-		Elapsed: elapsed,
-		Drain:   drain,
-		Savings: fs.Stats().Space.Savings(),
+		Model:     cfg.Label(),
+		Profile:   prof.Name,
+		Threads:   opts.Threads,
+		Ops:       int64(len(ops)),
+		Elapsed:   elapsed,
+		Drain:     drain,
+		Savings:   fs.Stats().Space.Savings(),
 		QueuePeak: fs.StatsSnapshot().Queue.Peak,
-		Dev:     dev.Stats().Sub(devBefore),
-		OpCounts: map[string]int64{},
-		Latency:  map[string]obs.HistogramStats{},
-		Oracle:   map[string][]byte{},
+		Dev:       dev.Stats().Sub(devBefore),
+		OpCounts:  map[string]int64{},
+		Latency:   map[string]obs.HistogramStats{},
+		Oracle:    map[string][]byte{},
 	}
 	for _, op := range ops {
 		res.OpCounts[op.Kind.String()]++

@@ -6,8 +6,14 @@ package layout
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 )
+
+// ErrCorrupt marks a persistent image that is structurally invalid — a
+// pointer or block number no legal crash state can produce. Mount-time
+// recovery returns it (wrapped with the location) instead of panicking.
+var ErrCorrupt = errors.New("corrupt persistent image")
 
 // castagnoli is the CRC32-C table (the polynomial used by persistent-memory
 // file systems for metadata checksums, hardware-accelerated on x86).

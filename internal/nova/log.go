@@ -28,13 +28,18 @@ func (fs *FS) initLogPage(block, next uint64) {
 
 // logPageNext reads the next-page link of a log page.
 func (fs *FS) logPageNext(block uint64) (uint64, error) {
-	off := int64(block)*PageSize + logTailSlotOff
 	rec := make(layout.Record, EntrySize)
-	fs.Dev.Read(off, rec)
-	if rec.U64(8) != logPageMagic {
+	fs.Dev.Read(int64(block)*PageSize+logTailSlotOff, rec)
+	return logPageLink(block, rec)
+}
+
+// logPageLink decodes a log page's tail slot: the next-page link, after
+// checking the page magic.
+func logPageLink(block uint64, tailSlot layout.Record) (uint64, error) {
+	if tailSlot.U64(8) != logPageMagic {
 		return 0, fmt.Errorf("nova: block %d is not a log page", block)
 	}
-	return rec.U64(0), nil
+	return tailSlot.U64(0), nil
 }
 
 // setLogPageNext updates and persists the next link of a log page.
@@ -172,31 +177,36 @@ func (fs *FS) commitTailLocked(in *Inode) {
 
 // walkLog iterates the committed entries of an inode's log in append order,
 // calling fn with each entry's device offset and raw record. Stops early if
-// fn returns false.
+// fn returns false. Each page is read in one device access, up to the
+// committed tail, and its next-page link comes from the same read; rec
+// aliases that page buffer and is valid only during the call.
 func (fs *FS) walkLog(head, tail uint64, fn func(off uint64, rec layout.Record) bool) error {
-	page := head
-	for page != 0 {
+	buf := make(layout.Record, PageSize)
+	for page := head; page != 0; {
 		base := page * PageSize
-		for s := 0; s < EntriesPerLogPage; s++ {
-			off := base + uint64(s*EntrySize)
-			if off == tail {
-				return nil
-			}
-			rec := make(layout.Record, EntrySize)
-			fs.Dev.Read(int64(off), rec)
-			if !fn(off, rec) {
-				return nil
-			}
+		// The committed tail may sit at this page's boundary slot: the page
+		// filled up but no entry in a later page was ever committed. A
+		// crash can leave a successor page linked whose slots still hold
+		// garbage from the block's previous life — never read past the
+		// tail's page.
+		last := pageOfOff(tail) == page
+		n := PageSize
+		if last {
+			n = slotIndex(tail) * EntrySize
 		}
-		if pageOfOff(tail) == page {
-			// The committed tail sits at this page's boundary slot: the page
-			// filled up but no entry in a later page was ever committed. A
-			// crash can leave a successor page linked whose slots still hold
-			// garbage from the block's previous life — never read past the
-			// tail's page.
+		if n == 0 {
 			return nil
 		}
-		next, err := fs.logPageNext(page)
+		fs.Dev.Read(int64(base), buf[:n])
+		for s := 0; s < EntriesPerLogPage && s*EntrySize < n; s++ {
+			if !fn(base+uint64(s*EntrySize), buf[s*EntrySize:(s+1)*EntrySize]) {
+				return nil
+			}
+		}
+		if last {
+			return nil
+		}
+		next, err := logPageLink(page, buf[logTailSlotOff:])
 		if err != nil {
 			return err
 		}

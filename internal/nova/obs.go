@@ -40,8 +40,8 @@ type Observer struct {
 // NewObserver resolves the nova metric set from reg. tracer may be nil.
 func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 	return &Observer{
-		Tracer:       tracer,
-		Fine:         fine,
+		Tracer:        tracer,
+		Fine:          fine,
 		Write:         reg.Histogram("nova.write"),
 		Read:          reg.Histogram("nova.read"),
 		Truncate:      reg.Histogram("nova.truncate"),

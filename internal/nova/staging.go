@@ -39,7 +39,7 @@ import (
 // the inode lock (writers hold in.mu.RLock + st.mu; relink holds in.mu +
 // st.mu), and is always taken before any allocator lock.
 type stageBuf struct {
-	mu    sync.RWMutex //denova:locks(nova.stage)
+	mu    sync.RWMutex      //denova:locks(nova.stage)
 	pages map[uint64][]byte // file page -> full PageSize image
 	size  uint64            // effective file size including staged bytes
 	flag  uint8             // dedupe-flag the relinked entries will carry

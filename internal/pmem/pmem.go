@@ -145,6 +145,7 @@ func (d *Device) Read(off int64, p []byte) {
 	d.check(off, len(p))
 	d.checkDead()
 	lines := linesSpanned(off, len(p))
+	atomic.AddInt64(&d.stats.ReadOps, 1)
 	atomic.AddInt64(&d.stats.ReadLines, lines)
 	atomic.AddInt64(&d.stats.ReadBytes, int64(len(p)))
 	d.chargeRead(time_Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
@@ -266,9 +267,40 @@ func (d *Device) Load64(off int64) uint64 {
 	mu.Lock()
 	v := binary.LittleEndian.Uint64(d.buf[off:])
 	mu.Unlock()
+	atomic.AddInt64(&d.stats.ReadOps, 1)
 	atomic.AddInt64(&d.stats.ReadLines, 1)
 	d.chargeRead(d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	return v
+}
+
+// LoadWords reads len(dst) consecutive little-endian words starting at off
+// (8-byte aligned) in one device access. Each word is atomic with respect
+// to Store64/CAS64/Add64: the copy holds a line's word stripe while it
+// copies that line, so a sweep never sees a torn word, though words on
+// different lines may come from different moments. Charged exactly as Read
+// is: one access overhead plus the per-line cost of the lines spanned.
+func (d *Device) LoadWords(off int64, dst []uint64) {
+	n := len(dst) * 8
+	d.check(off, n)
+	d.checkDead()
+	if off%8 != 0 {
+		panic("pmem: unaligned LoadWords")
+	}
+	for i := 0; i < len(dst); {
+		o := off + int64(i)*8
+		end := min(len(dst), i+int((lineOf(o)+1)*CacheLineSize-o)/8)
+		mu := &d.atomMu[lineOf(o)%dirtyShards]
+		mu.Lock()
+		for ; i < end; i++ {
+			dst[i] = binary.LittleEndian.Uint64(d.buf[off+int64(i)*8:])
+		}
+		mu.Unlock()
+	}
+	lines := linesSpanned(off, n)
+	atomic.AddInt64(&d.stats.ReadOps, 1)
+	atomic.AddInt64(&d.stats.ReadLines, lines)
+	atomic.AddInt64(&d.stats.ReadBytes, int64(n))
+	d.chargeRead(time_Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 }
 
 // Store64 atomically writes an 8-byte little-endian word at off (8-byte

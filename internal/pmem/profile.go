@@ -25,7 +25,7 @@ func time_Duration(n int64) time.Duration { return time.Duration(n) }
 type LatencyProfile struct {
 	// Name identifies the profile in reports (e.g. "optane-dcpm").
 	Name string
-	// ReadAccessOverhead is charged once per Read/Load64 call.
+	// ReadAccessOverhead is charged once per Read/Load64/LoadWords call.
 	ReadAccessOverhead time.Duration
 	// ReadPerLine is charged for each 64 B cache line read from media.
 	ReadPerLine time.Duration

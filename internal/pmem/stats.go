@@ -9,6 +9,9 @@ import (
 // atomic adds regardless of the latency profile, so access counts are
 // available even in zero-latency unit tests.
 type Stats struct {
+	// ReadOps counts media read accesses: one per Read, Load64 or
+	// LoadWords call, whatever its length.
+	ReadOps int64
 	// ReadLines counts 64 B cache lines read from media.
 	ReadLines int64
 	// FlushedLines counts lines persisted by Flush.
@@ -34,6 +37,7 @@ type Stats struct {
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats {
 	return Stats{
+		ReadOps:      atomic.LoadInt64(&d.stats.ReadOps),
 		ReadLines:    atomic.LoadInt64(&d.stats.ReadLines),
 		FlushedLines: atomic.LoadInt64(&d.stats.FlushedLines),
 		NTLines:      atomic.LoadInt64(&d.stats.NTLines),
@@ -50,6 +54,7 @@ func (d *Device) Stats() Stats {
 
 // ResetStats zeroes all counters.
 func (d *Device) ResetStats() {
+	atomic.StoreInt64(&d.stats.ReadOps, 0)
 	atomic.StoreInt64(&d.stats.ReadLines, 0)
 	atomic.StoreInt64(&d.stats.FlushedLines, 0)
 	atomic.StoreInt64(&d.stats.NTLines, 0)
@@ -65,6 +70,7 @@ func (d *Device) ResetStats() {
 // Sub returns s minus t, field-wise. Useful for measuring a phase.
 func (s Stats) Sub(t Stats) Stats {
 	return Stats{
+		ReadOps:      s.ReadOps - t.ReadOps,
 		ReadLines:    s.ReadLines - t.ReadLines,
 		FlushedLines: s.FlushedLines - t.FlushedLines,
 		NTLines:      s.NTLines - t.NTLines,
@@ -84,6 +90,6 @@ func (s Stats) PersistedLines() int64 { return s.FlushedLines + s.NTLines }
 
 // String renders the counters on one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("readLines=%d flushLines=%d ntLines=%d fences=%d readB=%d writeB=%d simLatency=%dns",
-		s.ReadLines, s.FlushedLines, s.NTLines, s.Fences, s.ReadBytes, s.WrittenBytes, s.SimLatencyNs)
+	return fmt.Sprintf("readOps=%d readLines=%d flushLines=%d ntLines=%d fences=%d readB=%d writeB=%d simLatency=%dns",
+		s.ReadOps, s.ReadLines, s.FlushedLines, s.NTLines, s.Fences, s.ReadBytes, s.WrittenBytes, s.SimLatencyNs)
 }
