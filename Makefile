@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint fmt-check vet test race torture bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
+.PHONY: all build lint fmt-check vet test race torture smoke bench bench-recovery bench-json bench-append slo slowcap serve-smoke clean
 
 all: build lint test
 
@@ -39,6 +39,16 @@ torture:
 	$(GO) test -race -run 'Torture|Crash' -count=2 ./internal/...
 	$(GO) test -run TestWorkerScalingSmoke -v ./internal/harness/
 	$(GO) test -run 'TestRecoverySmoke|TestRecoveryScalingSmoke' -v ./internal/harness/
+
+# smoke = build and run every binary no test drives: the four examples and
+# the crash simulator's dedup sweep (every persist point, no eviction
+# images). Each exits non-zero on a failed check.
+smoke:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/crashrecovery
+	$(GO) run ./examples/backup
+	$(GO) run ./examples/tuning
+	$(GO) run ./cmd/crashsim -scenario dedup -evict=false
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -41,6 +41,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -193,15 +194,21 @@ func fillPage(p []byte, i uint64) {
 	}
 }
 
+// createOrOpen creates name, or opens it when it already exists.
+func createOrOpen(fs *denova.FS, name string) (*denova.File, error) {
+	f, err := fs.Create(name)
+	if errors.Is(err, denova.ErrExists) {
+		return fs.Open(name)
+	}
+	return f, err
+}
+
 // driveWorkload writes a duplicate-heavy page stream into a scratch file
 // until stopped. It wraps within a bounded window so small images never run
 // out of space; write errors end the workload quietly (the dashboard keeps
 // refreshing on whatever was recorded).
 func driveWorkload(fs *denova.FS, stop <-chan struct{}) {
-	f, err := fs.Create("denovactl.top")
-	if err == denova.ErrExist {
-		f, err = fs.Open("denovactl.top")
-	}
+	f, err := createOrOpen(fs, "denovactl.top")
 	if err != nil {
 		fatal(err)
 	}
@@ -337,10 +344,7 @@ func runTrace(n int, crashAfter int64, out, opFilter string, minDur time.Duratio
 	c.Tracing = denova.TraceFine
 	fs, dev := mountCfg(c)
 	work := func() {
-		f, err := fs.Create("denovactl.trace")
-		if err == denova.ErrExist {
-			f, err = fs.Open("denovactl.trace")
-		}
+		f, err := createOrOpen(fs, "denovactl.trace")
 		if err != nil {
 			fatal(err)
 		}
@@ -447,10 +451,7 @@ func runSlow(threshold time.Duration, out, addr string) {
 	c.Tracing = denova.TraceFine
 	c.SlowSpanThreshold = threshold
 	fs, _ := mountCfg(c)
-	f, err := fs.Create("denovactl.slow")
-	if err == denova.ErrExist {
-		f, err = fs.Open("denovactl.slow")
-	}
+	f, err := createOrOpen(fs, "denovactl.slow")
 	if err != nil {
 		fatal(err)
 	}
@@ -513,10 +514,7 @@ func main() {
 			fatal(err)
 		}
 		fs, dev := mount()
-		f, err := fs.Create(args[1])
-		if err == denova.ErrExist {
-			f, err = fs.Open(args[1])
-		}
+		f, err := createOrOpen(fs, args[1])
 		if err != nil {
 			fatal(err)
 		}

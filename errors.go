@@ -40,12 +40,3 @@ var (
 	// outside the data region. The wrapped message names the location.
 	ErrCorrupt = layout.ErrCorrupt
 )
-
-// Deprecated aliases kept for source compatibility with the pre-serving
-// API. New code should use the canonical names above.
-var (
-	// Deprecated: use ErrExists.
-	ErrExist = ErrExists
-	// Deprecated: use ErrNotFound.
-	ErrNotExist = ErrNotFound
-)

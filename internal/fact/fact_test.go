@@ -658,6 +658,14 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 		}
 		tab.CommitTxn(res.Idx)
 	}
+	// A DecRef that takes a fingerprint's RFC to zero removes its entry
+	// until the same worker re-seeds it. reseed[k] makes that decref and
+	// re-seed one step, so no other DecRef of blocks[k] can land between
+	// them and find the entry gone, and no BeginTxn can re-insert fps[k] at
+	// another block meanwhile. BeginTxn takes it shared and only for the
+	// lookup: the UC it leaves keeps the entry through CommitTxn, which
+	// still races DecRef on the same counts word.
+	var reseed [8]sync.RWMutex
 	var wg sync.WaitGroup
 	var commits, decrefs int64
 	for w := 0; w < workers; w++ {
@@ -668,7 +676,9 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				k := rng.Intn(len(fps))
 				if rng.Intn(3) < 2 {
+					reseed[k].RLock()
 					res, err := tab.BeginTxn(fps[k], tDataStart+40)
+					reseed[k].RUnlock()
 					if err != nil {
 						t.Error(err)
 						return
@@ -676,8 +686,10 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 					tab.CommitTxn(res.Idx)
 					atomic.AddInt64(&commits, 1)
 				} else {
+					reseed[k].Lock()
 					res := tab.DecRef(blocks[k])
 					if !res.HasEntry {
+						reseed[k].Unlock()
 						t.Errorf("entry for block %d vanished", blocks[k])
 						return
 					}
@@ -686,12 +698,14 @@ func TestConcurrentTxnAndDecRefStress(t *testing.T) {
 						// content stays resident for other workers.
 						nr, err := tab.BeginTxn(fps[k], blocks[k])
 						if err != nil {
+							reseed[k].Unlock()
 							t.Error(err)
 							return
 						}
 						tab.CommitTxn(nr.Idx)
 						atomic.AddInt64(&commits, 1)
 					}
+					reseed[k].Unlock()
 					atomic.AddInt64(&decrefs, 1)
 				}
 			}

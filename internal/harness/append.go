@@ -104,54 +104,6 @@ func RunAppend(staged bool, files, pages int, prof pmem.LatencyProfile) (AppendR
 	return res, fs, nil
 }
 
-// appendReport renders one append run as a BenchReport. Only the staged
-// run carries Profile "append": the SLO gate keys on Profile, and the
-// baseline run exists for the ratio, not as an objective of its own.
-func appendReport(res AppendResult, fs *denova.FS) BenchReport {
-	model, name := "Baseline NOVA", "baseline-nova_append"
-	if res.Staged {
-		model, name = "DeNOVA-Staged", "denova-staged_append"
-	}
-	snap := fs.Metrics()
-	st := fs.Stats()
-	rep := BenchReport{
-		Name:          name,
-		Model:         model,
-		Workload:      "append",
-		GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-		Threads:       1,
-		Files:         res.Files,
-		Bytes:         int64(res.Files*res.PagesPerFile) * 4096,
-		ElapsedNs:     res.Elapsed.Nanoseconds(),
-		OpsPerSec:     res.OpsPerSec,
-		FencesPerPage: res.FencesPerPage,
-		Pmem: PmemCounters{
-			FlushedLines: st.Device.FlushedLines,
-			NTLines:      st.Device.NTLines,
-			Fences:       st.Device.Fences,
-			ReadBytes:    st.Device.ReadBytes,
-			WrittenBytes: st.Device.WrittenBytes,
-		},
-		Latency: map[string]LatencySummary{},
-	}
-	if res.Staged {
-		rep.Profile = "append"
-	}
-	if res.Elapsed > 0 {
-		rep.MBps = float64(rep.Bytes) / (1 << 20) / res.Elapsed.Seconds()
-	}
-	for _, op := range benchOps {
-		h, ok := snap.Histograms[op]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		rep.Latency[op] = LatencySummary{
-			Count: h.Count, P50Ns: h.P50Ns, P95Ns: h.P95Ns, P99Ns: h.P99Ns, MaxNs: h.MaxNs,
-		}
-	}
-	return rep
-}
-
 // WriteAppendBenchJSON runs the baseline and staged append streams and
 // writes BENCH_baseline-nova_append.json and BENCH_denova-staged_append.json
 // into dir.
@@ -163,7 +115,19 @@ func WriteAppendBenchJSON(dir string) ([]BenchReport, []string, error) {
 		if err != nil {
 			return reports, paths, err
 		}
-		rep := appendReport(res, fs)
+		// Only the staged run carries Profile "append": the SLO gate keys
+		// on Profile, and the baseline run exists for the ratio, not as an
+		// objective of its own.
+		base := BenchReport{
+			Name: "baseline-nova_append", Model: "Baseline NOVA", Workload: "append",
+			Threads: 1, Files: res.Files, Bytes: int64(res.Files*res.PagesPerFile) * 4096,
+			FencesPerPage: res.FencesPerPage,
+		}
+		if staged {
+			base.Name, base.Model, base.Profile = "denova-staged_append", "DeNOVA-Staged", "append"
+		}
+		snap := fs.Metrics()
+		rep := newReport(base, int64(res.Files*res.PagesPerFile), res.Elapsed, fs.Stats().Device, snap)
 		if err := fs.Unmount(); err != nil {
 			return reports, paths, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"denova"
 	"denova/internal/obs"
+	"denova/internal/pmem"
 	"denova/internal/workload"
 )
 
@@ -95,40 +96,32 @@ var benchOps = []string{
 	"fact.begin_txn", "fact.commit_batch", "fact.decref",
 }
 
-// buildReport assembles a BenchReport from one finished write run and the
-// FS's metrics snapshot.
-func buildReport(name string, res WriteResult, snap obs.Snapshot, queuePeak int) BenchReport {
-	rep := BenchReport{
-		Name:        name,
-		Model:       res.Model,
-		Workload:    res.Workload,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Threads:     res.Threads,
-		Files:       res.Files,
-		Bytes:       res.Bytes,
-		ElapsedNs:   res.Elapsed.Nanoseconds(),
-		DrainNs:     res.DrainTime.Nanoseconds(),
-		MBps:        res.MBps(),
-		Savings:     res.Savings,
-		QueuePeak:   queuePeak,
-		Pmem: PmemCounters{
-			FlushedLines: res.Dev.FlushedLines,
-			NTLines:      res.Dev.NTLines,
-			Fences:       res.Dev.Fences,
-			ReadBytes:    res.Dev.ReadBytes,
-			WrittenBytes: res.Dev.WrittenBytes,
-		},
-		Latency: map[string]LatencySummary{},
+// newReport is the one BenchReport constructor. base carries the
+// run-specific fields (Bytes among them); newReport stamps the generation
+// time and fills the throughput (ops and bytes over elapsed), the device
+// counters, and the FS-layer percentiles of benchOps from snap.
+func newReport(base BenchReport, ops int64, elapsed time.Duration, dev pmem.Stats, snap obs.Snapshot) BenchReport {
+	rep := base
+	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
+	rep.ElapsedNs = elapsed.Nanoseconds()
+	if elapsed > 0 {
+		rep.OpsPerSec = float64(ops) / elapsed.Seconds()
+		rep.MBps = float64(rep.Bytes) / (1 << 20) / elapsed.Seconds()
 	}
-	if res.Elapsed > 0 {
-		rep.OpsPerSec = float64(res.Files) / res.Elapsed.Seconds()
+	rep.Pmem = PmemCounters{
+		FlushedLines: dev.FlushedLines,
+		NTLines:      dev.NTLines,
+		Fences:       dev.Fences,
+		ReadBytes:    dev.ReadBytes,
+		WrittenBytes: dev.WrittenBytes,
+	}
+	if rep.Latency == nil {
+		rep.Latency = map[string]LatencySummary{}
 	}
 	for _, op := range benchOps {
-		h, ok := snap.Histograms[op]
-		if !ok || h.Count == 0 {
-			continue
+		if h, ok := snap.Histograms[op]; ok && h.Count > 0 {
+			rep.Latency[op] = latencySummary(h)
 		}
-		rep.Latency[op] = latencySummary(h)
 	}
 	return rep
 }
@@ -158,7 +151,17 @@ func RunBenchJSON(cfg FSConfig, spec workload.Spec, opts WriteOptions, dir, name
 	if name == "" {
 		name = benchSlug(res.Model) + "_" + benchSlug(res.Workload)
 	}
-	rep := buildReport(name, res, snap, queuePeak)
+	rep := newReport(BenchReport{
+		Name:      name,
+		Model:     res.Model,
+		Workload:  res.Workload,
+		Threads:   res.Threads,
+		Files:     res.Files,
+		Bytes:     res.Bytes,
+		DrainNs:   res.DrainTime.Nanoseconds(),
+		Savings:   res.Savings,
+		QueuePeak: queuePeak,
+	}, int64(res.Files), res.Elapsed, res.Dev, snap)
 	path, err := writeReport(rep, dir)
 	if err != nil {
 		return rep, "", err
@@ -209,51 +212,6 @@ func StandardBenchSpecs() []workload.Spec {
 	}
 }
 
-// buildProfileReport assembles a BenchReport from one profile run: the
-// trace-level throughput and per-op-type percentiles from the runner's own
-// histograms, plus the FS-layer percentiles from the obs snapshot.
-func buildProfileReport(name string, res ProfileResult, snap obs.Snapshot) BenchReport {
-	rep := BenchReport{
-		Name:        name,
-		Model:       res.Model,
-		Workload:    res.Profile,
-		Profile:     res.Profile,
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Threads:     res.Threads,
-		Files:       len(res.Oracle),
-		Bytes:       res.Bytes,
-		ElapsedNs:   res.Elapsed.Nanoseconds(),
-		DrainNs:     res.Drain.Nanoseconds(),
-		OpsPerSec:   res.OpsPerSec(),
-		Savings:     res.Savings,
-		QueuePeak:   res.QueuePeak,
-		TotalOps:    res.Ops,
-		OpCounts:    res.OpCounts,
-		Pmem: PmemCounters{
-			FlushedLines: res.Dev.FlushedLines,
-			NTLines:      res.Dev.NTLines,
-			Fences:       res.Dev.Fences,
-			ReadBytes:    res.Dev.ReadBytes,
-			WrittenBytes: res.Dev.WrittenBytes,
-		},
-		Latency: map[string]LatencySummary{},
-	}
-	if res.Elapsed > 0 {
-		rep.MBps = float64(res.Bytes) / (1 << 20) / res.Elapsed.Seconds()
-	}
-	for op, h := range res.Latency {
-		rep.Latency[op] = latencySummary(h)
-	}
-	for _, op := range benchOps {
-		h, ok := snap.Histograms[op]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		rep.Latency[op] = latencySummary(h)
-	}
-	return rep
-}
-
 // RunProfileBenchJSON replays one profile and writes BENCH_<name>.json into
 // dir ("<model>_<profile>" unless overridden).
 func RunProfileBenchJSON(cfg FSConfig, prof workload.Profile, opts ProfileOptions, dir, name string) (BenchReport, string, error) {
@@ -269,7 +227,27 @@ func RunProfileBenchJSON(cfg FSConfig, prof workload.Profile, opts ProfileOption
 	if name == "" {
 		name = benchSlug(res.Model) + "_" + benchSlug(res.Profile)
 	}
-	rep := buildProfileReport(name, res, snap)
+	// Trace-level per-op-type percentiles from the runner's own histograms
+	// sit next to the FS-layer percentiles newReport adds.
+	lat := map[string]LatencySummary{}
+	for op, h := range res.Latency {
+		lat[op] = latencySummary(h)
+	}
+	rep := newReport(BenchReport{
+		Name:      name,
+		Model:     res.Model,
+		Workload:  res.Profile,
+		Profile:   res.Profile,
+		Threads:   res.Threads,
+		Files:     len(res.Oracle),
+		Bytes:     res.Bytes,
+		DrainNs:   res.Drain.Nanoseconds(),
+		Savings:   res.Savings,
+		QueuePeak: res.QueuePeak,
+		TotalOps:  res.Ops,
+		OpCounts:  res.OpCounts,
+		Latency:   lat,
+	}, res.Ops, res.Elapsed, res.Dev, snap)
 	path, err := writeReport(rep, dir)
 	if err != nil {
 		return rep, "", err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"denova"
@@ -14,11 +15,18 @@ import (
 // admission control and op scheduler, with the content oracle verifying
 // every read in flight and the full end state after COMMIT. Run under
 // -race by the concurrency CI job.
+//
+// The same engine times each op on the client, so for every op kind that
+// maps 1:1 onto a wire op the client histogram must hold exactly as many
+// samples as the server's exec histogram, and since each client sample
+// contains its server exec interval, client quantiles bound server ones.
+// The end state is a function of the trace alone: RunProfile on the same
+// profile must leave the identical oracle.
 func TestRunProfileOverServerVarmail(t *testing.T) {
 	t.Parallel()
+	prof := tinyProfile(workload.Varmail(0), 800)
 	res, err := RunProfileOverServer(
-		FSConfig{Mode: denova.ModeImmediate},
-		tinyProfile(workload.Varmail(0), 800),
+		FSConfig{Mode: denova.ModeImmediate}, prof,
 		ServeProfileOptions{Threads: 3, Profile: pmem.ProfileZero})
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +51,34 @@ func TestRunProfileOverServerVarmail(t *testing.T) {
 		if h.P50Ns <= 0 || h.P99Ns < h.P50Ns {
 			t.Errorf("serve.op.%s quantiles not monotone: %+v", op, h)
 		}
+	}
+
+	for kind, op := range map[string]string{
+		"read": "read", "stat": "stat", "create": "create", "delete": "remove", "truncate": "truncate",
+	} {
+		cl, ok := res.Latency["op."+kind]
+		if !ok || cl.Count == 0 {
+			t.Errorf("client-side op.%s histogram missing", kind)
+			continue
+		}
+		sv := res.OpLatency["serve.op."+op]
+		if cl.Count != sv.Count {
+			t.Errorf("op.%s: client count %d, server serve.op.%s count %d", kind, cl.Count, op, sv.Count)
+		}
+		if cl.P50Ns < sv.P50Ns || cl.P99Ns < sv.P99Ns {
+			t.Errorf("op.%s: client p50/p99 %d/%d ns below server %d/%d ns",
+				kind, cl.P50Ns, cl.P99Ns, sv.P50Ns, sv.P99Ns)
+		}
+	}
+
+	local, _, err := RunProfile(FSConfig{Mode: denova.ModeImmediate}, prof,
+		ProfileOptions{Threads: 1, Profile: pmem.ProfileZero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Oracle, local.Oracle) {
+		t.Errorf("wire oracle (%d files) differs from in-process oracle (%d files)",
+			len(res.Oracle), len(local.Oracle))
 	}
 }
 

@@ -104,6 +104,7 @@ func (f *FS) feedRecovery(info *RecoveryInfo) {
 func (f *FS) refreshRegistry(st Stats) {
 	r := f.reg
 	d := st.Device
+	r.SetCounter("pmem.read_ops", d.ReadOps)
 	r.SetCounter("pmem.read_lines", d.ReadLines)
 	r.SetCounter("pmem.flushed_lines", d.FlushedLines)
 	r.SetCounter("pmem.nt_lines", d.NTLines)
@@ -118,6 +119,9 @@ func (f *FS) refreshRegistry(st Stats) {
 	r.SetCounter("nova.blocks_skipped", st.FS.BlocksSkipped)
 	r.SetCounter("nova.gc_log_pages", st.FS.GCLogPages)
 	r.SetCounter("nova.gc_thorough_passes", st.FS.GCThorough)
+	r.SetCounter("nova.relinks", st.FS.Relinks)
+	r.SetCounter("nova.relink_runs", st.FS.RelinkRuns)
+	r.SetCounter("nova.relink_pages", st.FS.RelinkPages)
 	r.SetGauge("nova.free_blocks", st.FS.FreeBlocks)
 
 	r.SetGauge("space.logical_pages", st.Space.LogicalPages)
@@ -139,6 +143,8 @@ func (f *FS) refreshRegistry(st Stats) {
 		r.SetCounter("dedup.pages_scanned", st.Dedup.PagesScanned)
 		r.SetCounter("dedup.pages_duplicate", st.Dedup.PagesDuplicate)
 		r.SetCounter("dedup.pages_unique", st.Dedup.PagesUnique)
+		r.SetCounter("dedup.pages_stale", st.Dedup.PagesStale)
+		r.SetCounter("dedup.pages_owned", st.Dedup.PagesOwned)
 		r.SetCounter("dedup.bytes_deduped", st.Dedup.BytesDeduped)
 
 		r.SetGauge("dedup.queue.len", int64(st.Queue.Len))

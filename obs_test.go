@@ -122,6 +122,34 @@ func TestMetricsExposesOpHistograms(t *testing.T) {
 	if snap.Gauges["space.savings_bp"] == 0 {
 		t.Error("space.savings_bp gauge zero: duplicate workload saw no dedup")
 	}
+
+	// Every layer counter Stats reports is mirrored, the staged relink path
+	// included: after a staged append plus Sync each reads the same in both.
+	_, sfs := mkFS(t, Config{Mode: ModeImmediate, Staging: StagingConfig{MaxPages: 4}})
+	sf := writeAll(t, sfs, "staged", npages(1, 2))
+	if _, err := sf.WriteAt(npages(1, 3), 2*4096); err != nil {
+		t.Fatal(err)
+	}
+	sfs.Sync()
+	st, m := sfs.Stats(), sfs.Metrics().Counters
+	if st.FS.Relinks == 0 {
+		t.Fatal("staged append never relinked")
+	}
+	for name, want := range map[string]int64{
+		"pmem.read_ops":     st.Device.ReadOps,
+		"nova.relinks":      st.FS.Relinks,
+		"nova.relink_runs":  st.FS.RelinkRuns,
+		"nova.relink_pages": st.FS.RelinkPages,
+		"dedup.pages_stale": st.Dedup.PagesStale,
+		"dedup.pages_owned": st.Dedup.PagesOwned,
+	} {
+		if got, ok := m[name]; !ok || got != want {
+			t.Errorf("counter %q = %d (present %v), Stats says %d", name, got, ok, want)
+		}
+	}
+	if err := sfs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // --- Concurrent Stats()/Metrics() under full load (run with -race) ---
