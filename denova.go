@@ -315,13 +315,9 @@ func Mount(dev *Device, cfg Config) (*FS, *RecoveryInfo, error) {
 	table := fact.Attach(dev, factConfig(nfs.Geo))
 	table.RecoveryWorkers = workers
 	if cfg.Mode == ModeNone {
-		start := time.Now()
-		before := dev.Stats()
-		_, err := table.RecoverStructure()
-		info.Passes = append(info.Passes, RecoveryPass{
-			Name: "fact-structure",
-			Wall: time.Since(start),
-			Pmem: dev.Stats().Sub(before),
+		err := nova.TimePass(dev, &info.Passes, "fact-structure", func() error {
+			_, err := table.RecoverStructure()
+			return err
 		})
 		if err != nil {
 			return nil, nil, err
@@ -391,7 +387,6 @@ func (f *FS) wireMode() {
 			ScrubEvery: f.cfg.ScrubEvery,
 			Workers:    f.cfg.Workers,
 		})
-		f.daemon.Start()
 	case ModeDelayed:
 		f.daemon = dedup.NewDaemon(f.engine, dedup.DaemonConfig{
 			Interval:   f.cfg.DelayInterval,
@@ -399,8 +394,11 @@ func (f *FS) wireMode() {
 			ScrubEvery: f.cfg.ScrubEvery,
 			Workers:    f.cfg.Workers,
 		})
-		f.daemon.Start()
+	default:
+		return
 	}
+	f.daemon.RegisterMetrics(f.reg)
+	f.daemon.Start()
 }
 
 // Mode returns the configured deduplication mode.

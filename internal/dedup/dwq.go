@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"denova/internal/layout"
+	"denova/internal/obs"
 	"denova/internal/pmem"
 )
 
@@ -68,11 +69,13 @@ type DWQ struct {
 	shards []dwqShard
 	cursor uint64 // atomic round-robin start shard for DequeueBatch
 
-	total    int64 // atomic: current queue length across shards
-	totalEnq int64 // atomic
-	totalDeq int64 // atomic
-	peakLen  int64 // atomic
-	seq      uint64
+	total   int64 // atomic: current queue length across shards
+	peakLen int64 // atomic
+	seq     uint64
+	ctr     struct {
+		Enqueued obs.Counter `metric:"dedup.queue.enqueued"`
+		Dequeued obs.Counter `metric:"dedup.queue.dequeued"`
+	}
 
 	waitMu   sync.Mutex //denova:locks(dwq.doorbell)
 	waitCond *sync.Cond
@@ -132,7 +135,7 @@ func (q *DWQ) Enqueue(n Node) {
 	sh.mu.Lock()
 	sh.items = append(sh.items, n)
 	sh.mu.Unlock()
-	atomic.AddInt64(&q.totalEnq, 1)
+	q.ctr.Enqueued.Inc()
 	l := atomic.AddInt64(&q.total, 1)
 	for {
 		p := atomic.LoadInt64(&q.peakLen)
@@ -186,7 +189,7 @@ func (q *DWQ) DequeueBatch(m int) []Node {
 	}
 	if len(out) > 0 {
 		atomic.AddInt64(&q.total, -int64(len(out)))
-		atomic.AddInt64(&q.totalDeq, int64(len(out)))
+		q.ctr.Dequeued.Add(int64(len(out)))
 	}
 	if q.LingerHook != nil {
 		now := time.Now()
@@ -237,7 +240,7 @@ func (q *DWQ) ShardLens() []int {
 
 // Counts returns lifetime enqueue/dequeue totals.
 func (q *DWQ) Counts() (enq, deq int64) {
-	return atomic.LoadInt64(&q.totalEnq), atomic.LoadInt64(&q.totalDeq)
+	return q.ctr.Enqueued.Load(), q.ctr.Dequeued.Load()
 }
 
 // Peak returns the largest queue length observed — the DRAM footprint

@@ -2,7 +2,6 @@ package dedup
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"denova/internal/fact"
@@ -35,7 +34,7 @@ type Engine struct {
 	obs        *Observer             // metrics/tracing; nil = uninstrumented
 	userLinger func(d time.Duration) // user-facing DWQ linger hook (see SetLingerHook)
 
-	stats Stats
+	ctr counters // activity counters; see obs.go
 }
 
 // Stats aggregates engine activity.
@@ -50,21 +49,11 @@ type Stats struct {
 	BytesDeduped     int64 // duplicate bytes eliminated
 }
 
-func (e *Engine) snapshotStats() Stats {
-	return Stats{
-		EntriesProcessed: atomic.LoadInt64(&e.stats.EntriesProcessed),
-		EntriesSkipped:   atomic.LoadInt64(&e.stats.EntriesSkipped),
-		PagesScanned:     atomic.LoadInt64(&e.stats.PagesScanned),
-		PagesDuplicate:   atomic.LoadInt64(&e.stats.PagesDuplicate),
-		PagesUnique:      atomic.LoadInt64(&e.stats.PagesUnique),
-		PagesStale:       atomic.LoadInt64(&e.stats.PagesStale),
-		PagesOwned:       atomic.LoadInt64(&e.stats.PagesOwned),
-		BytesDeduped:     atomic.LoadInt64(&e.stats.BytesDeduped),
-	}
-}
-
 // Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats { return e.snapshotStats() }
+func (e *Engine) Stats() (s Stats) {
+	obs.LoadFields(&s, &e.ctr)
+	return s
+}
 
 // NewEngine wires an engine to a mounted FS and FACT: it installs itself as
 // the FS block releaser and registers the DWQ-feeding write hook.
@@ -72,11 +61,9 @@ func NewEngine(fs *nova.FS, table *fact.Table) *Engine {
 	e := &Engine{fs: fs, table: table, dwq: NewDWQ()}
 	fs.SetReleaser(e)
 	fs.SetWriteHook(func(in *nova.Inode, entryOff uint64, sc obs.SpanContext) {
-		if o := e.obs; o != nil {
-			o.Enqueues.Inc()
-			if o.Fine {
-				o.Tracer.EmitSpan(obs.OpDedupEnqueue, o.Tracer.StartChild(sc), sc.Span, in.Ino(), entryOff, time.Time{}, 0)
-			}
+		e.ctr.Enqueued.Inc()
+		if o := e.obs; o != nil && o.Fine {
+			o.Tracer.EmitSpan(obs.OpDedupEnqueue, o.Tracer.StartChild(sc), sc.Span, in.Ino(), entryOff, time.Time{}, 0)
 		}
 		e.dwq.Enqueue(Node{
 			Ino: in.Ino(), EntryOff: entryOff,
@@ -179,7 +166,7 @@ func (e *Engine) ProcessEntry(node Node) bool {
 
 	in, ok := e.fs.Inode(node.Ino)
 	if !ok {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
+		e.ctr.EntriesSkipped.Inc()
 		return finish(false)
 	}
 	in.Lock()
@@ -191,16 +178,16 @@ func (e *Engine) ProcessEntry(node Node) bool {
 	// whose appends are synchronized by a different lock, so even reading
 	// its bytes here would be a data race.
 	if !in.OwnsEntry(node.EntryOff) {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
+		e.ctr.EntriesSkipped.Inc()
 		return finish(false)
 	}
 	if nova.DedupeFlagOf(e.fs.Dev, node.EntryOff) != nova.FlagNeeded {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
+		e.ctr.EntriesSkipped.Inc()
 		return finish(false)
 	}
 	we, err := nova.ReadWriteEntry(e.fs.Dev, node.EntryOff)
 	if err != nil || we.Ino != node.Ino {
-		atomic.AddInt64(&e.stats.EntriesSkipped, 1)
+		e.ctr.EntriesSkipped.Inc()
 		return finish(false)
 	}
 	stage(obs.OpDedupRevalidate, node.EntryOff)
@@ -212,12 +199,12 @@ func (e *Engine) ProcessEntry(node Node) bool {
 		pg := we.PgOff + i
 		block, entryOff, mapped := in.Mapping(pg)
 		if !mapped || entryOff != node.EntryOff {
-			atomic.AddInt64(&e.stats.PagesStale, 1)
+			e.ctr.PagesStale.Inc()
 			continue // shadowed by a later foreground write
 		}
 		e.fs.ReadBlock(block, chunk)
 		fp := Strong(chunk)
-		atomic.AddInt64(&e.stats.PagesScanned, 1)
+		e.ctr.PagesScanned.Inc()
 		res, err := e.table.BeginTxn(fp, block)
 		if err != nil {
 			// FACT full: stop opening transactions; everything begun so
@@ -228,7 +215,7 @@ func (e *Engine) ProcessEntry(node Node) bool {
 			// Re-processed entry (Inconsistency Handling III): the page
 			// already owns its FACT entry. Drop the UC; nothing to do.
 			e.table.AbortTxn(res.Idx)
-			atomic.AddInt64(&e.stats.PagesOwned, 1)
+			e.ctr.PagesOwned.Inc()
 			continue
 		}
 		txns = append(txns, pageTxn{pg: pg, block: block, factIdx: res.Idx, canonical: res.Canonical, dup: res.Dup})
@@ -282,17 +269,17 @@ func (e *Engine) ProcessEntry(node Node) bool {
 	// duplicate copies flow through Release → no FACT entry → freed.
 	for _, ae := range newEntries {
 		e.fs.RemapLocked(in, ae.txn.pg, ae.txn.canonical, ae.entryOff)
-		atomic.AddInt64(&e.stats.PagesDuplicate, 1)
-		atomic.AddInt64(&e.stats.BytesDeduped, ChunkSize)
+		e.ctr.PagesDuplicate.Inc()
+		e.ctr.BytesDeduped.Add(ChunkSize)
 		nova.SetDedupeFlag(e.fs.Dev, ae.entryOff, nova.FlagComplete)
 	}
 	for _, txn := range txns {
 		if !txn.dup {
-			atomic.AddInt64(&e.stats.PagesUnique, 1)
+			e.ctr.PagesUnique.Inc()
 		}
 	}
 	nova.SetDedupeFlag(e.fs.Dev, node.EntryOff, nova.FlagComplete)
 	stage(obs.OpDedupRemap, uint64(len(newEntries)))
-	atomic.AddInt64(&e.stats.EntriesProcessed, 1)
+	e.ctr.EntriesProcessed.Inc()
 	return finish(true)
 }

@@ -1,8 +1,6 @@
 package dedup
 
 import (
-	"sync/atomic"
-
 	"denova/internal/nova"
 )
 
@@ -40,7 +38,7 @@ func (e *Engine) WriteInline(in *nova.Inode, off uint64, data []byte) error {
 	for pg := pg0; pg <= pgEnd; pg++ {
 		e.assemblePage(in, pg, off, data, chunk)
 		fp := Strong(chunk)
-		atomic.AddInt64(&e.stats.PagesScanned, 1)
+		e.ctr.PagesScanned.Inc()
 
 		// Allocate a block up front; if the chunk turns out to be a
 		// duplicate the block goes straight back (it was never written).
@@ -57,11 +55,11 @@ func (e *Engine) WriteInline(in *nova.Inode, off uint64, data []byte) error {
 		}
 		if res.Dup {
 			e.fs.Allocator().Free(block, 1)
-			atomic.AddInt64(&e.stats.PagesDuplicate, 1)
-			atomic.AddInt64(&e.stats.BytesDeduped, ChunkSize)
+			e.ctr.PagesDuplicate.Inc()
+			e.ctr.BytesDeduped.Add(ChunkSize)
 		} else {
 			e.fs.Dev.WriteNT(int64(block)*nova.PageSize, chunk)
-			atomic.AddInt64(&e.stats.PagesUnique, 1)
+			e.ctr.PagesUnique.Inc()
 		}
 		plans = append(plans, pagePlan{pg: pg, factIdx: res.Idx, canonical: res.Canonical, dup: res.Dup})
 	}
@@ -92,7 +90,7 @@ func (e *Engine) WriteInline(in *nova.Inode, off uint64, data []byte) error {
 		e.fs.RemapLocked(in, p.pg, p.canonical, p.entryOff)
 	}
 	e.fs.BumpSizeLocked(in, end)
-	atomic.AddInt64(&e.stats.EntriesProcessed, 1)
+	e.ctr.EntriesProcessed.Inc()
 	return nil
 }
 

@@ -22,8 +22,6 @@ type Observer struct {
 	Batch       *obs.Histogram // dedup.batch: one worker batch
 	QueueWait   *obs.Histogram // dedup.queue_wait: DWQ residence time
 	Scrub       *obs.Histogram // dedup.scrub
-
-	Enqueues *obs.Counter // dedup.enqueued: write-hook enqueues
 }
 
 // NewObserver resolves the dedup metric set from reg. tracer may be nil.
@@ -39,8 +37,50 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 		Batch:       reg.Histogram("dedup.batch"),
 		QueueWait:   reg.Histogram("dedup.queue_wait"),
 		Scrub:       reg.Histogram("dedup.scrub"),
-		Enqueues:    reg.Counter("dedup.enqueued"),
 	}
+}
+
+// counters are the engine's activity counters, one per Stats field plus
+// the write-hook enqueues. They are counted whether or not an Observer is
+// installed and are the only copy of each number.
+type counters struct {
+	EntriesProcessed obs.Counter `metric:"dedup.entries_processed"`
+	EntriesSkipped   obs.Counter `metric:"dedup.entries_skipped"`
+	PagesScanned     obs.Counter `metric:"dedup.pages_scanned"`
+	PagesDuplicate   obs.Counter `metric:"dedup.pages_duplicate"`
+	PagesUnique      obs.Counter `metric:"dedup.pages_unique"`
+	PagesStale       obs.Counter `metric:"dedup.pages_stale"`
+	PagesOwned       obs.Counter `metric:"dedup.pages_owned"`
+	BytesDeduped     obs.Counter `metric:"dedup.bytes_deduped"`
+	Enqueued         obs.Counter `metric:"dedup.enqueued"`
+}
+
+// RegisterMetrics registers the engine counters and the DWQ's under their
+// dedup.* names, with the queue's depth and high-water mark as computed
+// gauges.
+func (e *Engine) RegisterMetrics(r *obs.Registry) {
+	q := e.dwq
+	r.RegisterFields(&e.ctr)
+	r.RegisterFields(&q.ctr)
+	r.GaugeFunc("dedup.queue.len", func() int64 { return int64(q.Len()) })
+	r.GaugeFunc("dedup.queue.peak", func() int64 { return int64(q.Peak()) })
+}
+
+// RegisterMetrics registers the worker pool's size and its summed node and
+// busy-time tallies as computed metrics.
+func (d *Daemon) RegisterMetrics(r *obs.Registry) {
+	r.GaugeFunc("dedup.workers", func() int64 { return int64(d.Workers()) })
+	r.CounterFunc("dedup.worker_nodes", func() int64 { return d.total().Nodes })
+	r.CounterFunc("dedup.worker_busy_ns", func() int64 { return d.total().BusyNs })
+}
+
+// total sums the per-worker node and busy-time tallies.
+func (d *Daemon) total() (t WorkerStat) {
+	for _, w := range d.WorkerStats() {
+		t.Nodes += w.Nodes
+		t.BusyNs += w.BusyNs
+	}
+	return t
 }
 
 // SetObserver installs (or removes, with nil) the metrics observer on the
@@ -72,6 +112,3 @@ func (e *Engine) rewireLinger() {
 		}
 	}
 }
-
-// Observer returns the engine's installed observer (nil when none).
-func (e *Engine) Observer() *Observer { return e.obs }

@@ -1,11 +1,8 @@
 package dedup
 
 import (
-	"time"
-
 	"denova/internal/fact"
 	"denova/internal/nova"
-	"denova/internal/pmem"
 )
 
 // RecoveryReport summarizes the dedup-level recovery of §V-C.
@@ -28,19 +25,6 @@ type RecoveryReport struct {
 	// recovery, in execution order. denova.Mount appends it to the nova
 	// pass list so a full mount reads as one timeline.
 	Passes []nova.RecoveryPass
-}
-
-// timedPhase runs fn and appends its wall-clock and device-counter cost to
-// rep.Passes.
-func timedPhase(dev *pmem.Device, rep *RecoveryReport, name string, fn func()) {
-	start := time.Now()
-	before := dev.Stats()
-	fn()
-	rep.Passes = append(rep.Passes, nova.RecoveryPass{
-		Name: name,
-		Wall: time.Since(start),
-		Pmem: dev.Stats().Sub(before),
-	})
 }
 
 // Recover brings the dedup state machine up after a mount, in the order
@@ -67,16 +51,16 @@ func Recover(e *Engine, scan *nova.ScanResult) (RecoveryReport, error) {
 	fs, table := e.fs, e.table
 
 	// (1) Structure.
-	var err error
-	timedPhase(fs.Dev, &rep, "fact-structure", func() {
+	err := nova.TimePass(fs.Dev, &rep.Passes, "fact-structure", func() (err error) {
 		rep.Fact, err = table.RecoverStructure()
+		return err
 	})
 	if err != nil {
 		return rep, err
 	}
 
 	// (2) Resume in-process transactions.
-	timedPhase(fs.Dev, &rep, "dedup-resume", func() {
+	_ = nova.TimePass(fs.Dev, &rep.Passes, "dedup-resume", func() error {
 		for _, ref := range scan.InProcess {
 			in, ok := fs.Inode(ref.Ino)
 			if !ok {
@@ -100,28 +84,31 @@ func Recover(e *Engine, scan *nova.ScanResult) (RecoveryReport, error) {
 				}
 			}()
 		}
+		return nil
 	})
 
 	// (3) Discard the counts of transactions that never committed.
-	timedPhase(fs.Dev, &rep, "zero-uc", func() {
+	_ = nova.TimePass(fs.Dev, &rep.Passes, "zero-uc", func() error {
 		zs := table.ZeroAllUC()
 		rep.Fact.UCsDiscarded = zs.UCsDiscarded
 		rep.Fact.EntriesDropped += zs.EntriesDropped
+		return nil
 	})
 
 	// (4) Scrub against the recovered block usage. Blocks dropped here are
 	// already free in the rebuilt allocator (they were absent from the
 	// usage bitmap), so no free-list action is needed.
-	timedPhase(fs.Dev, &rep, "fact-scrub", func() {
+	_ = nova.TimePass(fs.Dev, &rep.Passes, "fact-scrub", func() error {
 		ss, _ := table.Scrub(func(b uint64) bool {
 			idx := int64(b) - int64(fs.Geo.DataStartBlock)
 			return idx >= 0 && idx < int64(len(scan.UsedBlocks)) && scan.UsedBlocks[idx]
 		})
 		rep.ScrubDropped = ss.EntriesDropped
+		return nil
 	})
 
 	// (5) Rebuild the queue.
-	timedPhase(fs.Dev, &rep, "dwq-rebuild", func() {
+	_ = nova.TimePass(fs.Dev, &rep.Passes, "dwq-rebuild", func() error {
 		if scan.Clean && !scan.DWQOverflow {
 			if n, err := e.dwq.Restore(fs.Dev, fs.Geo.DWQSaveOff, fs.Geo.DWQSavePages); err == nil {
 				rep.RestoredFromSnapshot = true
@@ -137,6 +124,7 @@ func Recover(e *Engine, scan *nova.ScanResult) (RecoveryReport, error) {
 		// The snapshot is consumed either way; never restore it twice.
 		Invalidate(fs.Dev, fs.Geo.DWQSaveOff)
 		nova.SetDWQOverflowFlag(fs.Dev, false)
+		return nil
 	})
 	return rep, nil
 }

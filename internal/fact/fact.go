@@ -93,7 +93,7 @@ type Table struct {
 	RecoveryWorkers int
 
 	reorders reorderQueue
-	stats    Stats
+	ctr      counters // activity counters; see stats.go
 }
 
 // Config carries the geometry FACT needs from the file system superblock.

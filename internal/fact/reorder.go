@@ -3,7 +3,6 @@ package fact
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // §IV-E: a data chunk with a high RFC is likely to be written again, so its
@@ -98,7 +97,7 @@ func (t *Table) ReorderChain(prefix uint64) bool {
 	}
 
 	t.reorderCommit(prefix, sorted)
-	atomic.AddInt64(&t.stats.Reorders, 1)
+	t.ctr.Reorders.Inc()
 	return true
 }
 

@@ -2,7 +2,8 @@ package fact
 
 import (
 	"fmt"
-	"sync/atomic"
+
+	"denova/internal/obs"
 )
 
 // Stats aggregates FACT activity counters.
@@ -27,30 +28,26 @@ type Stats struct {
 	Reorders int64
 }
 
-// Stats returns a snapshot of the counters.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Lookups:     atomic.LoadInt64(&t.stats.Lookups),
-		WalkEntries: atomic.LoadInt64(&t.stats.WalkEntries),
-		DupHits:     atomic.LoadInt64(&t.stats.DupHits),
-		Inserts:     atomic.LoadInt64(&t.stats.Inserts),
-		Commits:     atomic.LoadInt64(&t.stats.Commits),
-		DecRefs:     atomic.LoadInt64(&t.stats.DecRefs),
-		Removes:     atomic.LoadInt64(&t.stats.Removes),
-		Reorders:    atomic.LoadInt64(&t.stats.Reorders),
-	}
+// counters are the table's activity counters, one per Stats field: the
+// only copy of each number.
+type counters struct {
+	Lookups     obs.Counter `metric:"fact.lookups"`
+	WalkEntries obs.Counter `metric:"fact.walk_entries"`
+	DupHits     obs.Counter `metric:"fact.dup_hits"`
+	Inserts     obs.Counter `metric:"fact.inserts"`
+	Commits     obs.Counter `metric:"fact.commits"`
+	DecRefs     obs.Counter `metric:"fact.decrefs"`
+	Removes     obs.Counter `metric:"fact.removes"`
+	Reorders    obs.Counter `metric:"fact.reorders"`
 }
 
-// ResetStats zeroes the counters.
-func (t *Table) ResetStats() {
-	atomic.StoreInt64(&t.stats.Lookups, 0)
-	atomic.StoreInt64(&t.stats.WalkEntries, 0)
-	atomic.StoreInt64(&t.stats.DupHits, 0)
-	atomic.StoreInt64(&t.stats.Inserts, 0)
-	atomic.StoreInt64(&t.stats.Commits, 0)
-	atomic.StoreInt64(&t.stats.DecRefs, 0)
-	atomic.StoreInt64(&t.stats.Removes, 0)
-	atomic.StoreInt64(&t.stats.Reorders, 0)
+// RegisterMetrics registers the FACT counters under their fact.* names.
+func (t *Table) RegisterMetrics(r *obs.Registry) { r.RegisterFields(&t.ctr) }
+
+// Stats returns a snapshot of the counters.
+func (t *Table) Stats() (s Stats) {
+	obs.LoadFields(&s, &t.ctr)
+	return s
 }
 
 // AvgWalk returns the mean lookup chain walk length.

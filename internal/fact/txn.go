@@ -2,7 +2,6 @@ package fact
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"denova/internal/obs"
@@ -54,12 +53,12 @@ func (t *Table) BeginTxn(fp FP, block uint64) (TxnResult, error) {
 	mu.Lock()
 	defer mu.Unlock()
 
-	atomic.AddInt64(&t.stats.Lookups, 1)
+	t.ctr.Lookups.Inc()
 	idx, tail, walk, found := t.lookupLocked(prefix, fp)
-	atomic.AddInt64(&t.stats.WalkEntries, int64(walk))
+	t.ctr.WalkEntries.Add(int64(walk))
 	if found {
 		t.incUC(idx)
-		atomic.AddInt64(&t.stats.DupHits, 1)
+		t.ctr.DupHits.Inc()
 		res := TxnResult{Idx: idx, Dup: true, Canonical: t.block(idx), WalkLen: walk}
 		t.maybeMarkReorder(prefix, idx, walk)
 		return res, nil
@@ -68,7 +67,7 @@ func (t *Table) BeginTxn(fp FP, block uint64) (TxnResult, error) {
 	if err != nil {
 		return TxnResult{}, err
 	}
-	atomic.AddInt64(&t.stats.Inserts, 1)
+	t.ctr.Inserts.Inc()
 	return TxnResult{Idx: idx, Dup: false, Canonical: block, WalkLen: walk}, nil
 }
 
@@ -183,7 +182,7 @@ func (t *Table) CommitTxn(idx uint64) bool {
 		nw := uint64(rfc+1) | uint64(uc-1)<<32
 		if t.dev.CAS64(off, w, nw) {
 			t.dev.Persist(off, 8)
-			atomic.AddInt64(&t.stats.Commits, 1)
+			t.ctr.Commits.Inc()
 			return true
 		}
 	}
@@ -213,7 +212,7 @@ func (t *Table) CommitTxnBatch(idxs []uint64) int {
 			nw := uint64(rfc+1) | uint64(uc-1)<<32
 			if t.dev.CAS64(off, w, nw) {
 				t.dev.Flush(off, 8)
-				atomic.AddInt64(&t.stats.Commits, 1)
+				t.ctr.Commits.Inc()
 				committed++
 				break
 			}
@@ -335,7 +334,7 @@ func (t *Table) DecRef(block uint64) DecRefResult {
 				continue
 			}
 			t.dev.Persist(off, 8)
-			atomic.AddInt64(&t.stats.DecRefs, 1)
+			t.ctr.DecRefs.Inc()
 			if rfc-1 == 0 && uc == 0 {
 				t.removeLocked(prefix, idx, block)
 				return DecRefResult{HasEntry: true, FreeBlock: true, RFC: 0}
@@ -362,7 +361,7 @@ func (t *Table) removeLocked(prefix, idx, block uint64) {
 		t.dev.Store64(off+feBlock, 0)
 		t.dev.Store64(off+fePrev, None)
 		t.dev.Persist(off, EntrySize)
-		atomic.AddInt64(&t.stats.Removes, 1)
+		t.ctr.Removes.Inc()
 		return
 	}
 	prev, next := t.prev(idx), t.next(idx)
@@ -381,5 +380,5 @@ func (t *Table) removeLocked(prefix, idx, block uint64) {
 	t.dev.Store64(off+feNext, None)
 	t.dev.Persist(off, EntrySize)
 	t.freeIAA(idx)
-	atomic.AddInt64(&t.stats.Removes, 1)
+	t.ctr.Removes.Inc()
 }

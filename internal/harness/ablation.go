@@ -66,7 +66,7 @@ func RunReorderAblation(lookups int) (ReorderAblation, error) {
 		// service runs between batches.
 		rng := rand.New(rand.NewSource(7))
 		zipf := rand.NewZipf(rng, 1.2, 1, pool-1)
-		table.ResetStats()
+		before := table.Stats()
 		for i := 0; i < lookups; i++ {
 			// Permute the Zipf rank so popularity is independent of insert
 			// order (rank 0 would otherwise always be the chain head, where
@@ -85,7 +85,8 @@ func RunReorderAblation(lookups int) (ReorderAblation, error) {
 			}
 		}
 		st := table.Stats()
-		return st.AvgWalk(), st.Reorders, nil
+		hot := fact.Stats{Lookups: st.Lookups - before.Lookups, WalkEntries: st.WalkEntries - before.WalkEntries}
+		return hot.AvgWalk(), st.Reorders - before.Reorders, nil
 	}
 	on, reorders, err := run(false)
 	if err != nil {

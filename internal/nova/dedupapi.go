@@ -8,8 +8,6 @@ package nova
 // holds it for the whole transaction, §IV-E).
 
 import (
-	"sync/atomic"
-
 	"denova/internal/rtree"
 )
 
@@ -62,7 +60,7 @@ func (fs *FS) BumpSizeLocked(in *Inode, end uint64) {
 		in.size = end
 	}
 	in.mtime = fs.tick()
-	atomic.AddInt64(&fs.writes, 1)
+	fs.ctr.Writes.Inc()
 }
 
 // FreeDataBlock releases a single data block through the releaser. The

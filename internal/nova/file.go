@@ -2,7 +2,6 @@ package nova
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"denova/internal/obs"
@@ -127,14 +126,14 @@ func (fs *FS) writeLocked(in *Inode, off uint64, data []byte, flag uint8, sc obs
 		in.size = end
 	}
 	in.mtime = entry.Mtime
-	atomic.AddInt64(&fs.writes, 1)
+	fs.ctr.Writes.Inc()
+	fs.ctr.WriteBytes.Add(int64(len(data)))
 	if fs.onWrite != nil {
 		fs.onWrite(in, entryOff, wsc)
 	}
 	if o != nil {
 		total := time.Since(start)
 		o.Write.ObserveSpan(total, wsc.Trace)
-		o.WriteBytes.Add(int64(len(data)))
 		o.Tracer.EmitSpan(obs.OpWrite, wsc, sc.Span, in.ino, uint64(len(data)), start, total)
 		if fine {
 			o.WriteAlloc.Observe(dAlloc)
@@ -257,7 +256,8 @@ func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (in
 	if off+n > size {
 		n = size - off
 	}
-	atomic.AddInt64(&fs.reads, 1)
+	fs.ctr.Reads.Inc()
+	fs.ctr.ReadBytes.Add(int64(n))
 	read := uint64(0)
 	page := make([]byte, PageSize)
 	for read < n {
@@ -292,7 +292,6 @@ func (fs *FS) ReadCtx(in *Inode, off uint64, buf []byte, sc obs.SpanContext) (in
 		d := time.Since(start)
 		rsc := o.Tracer.ChildOrRoot(sc, sc.Tenant)
 		o.Read.ObserveSpan(d, rsc.Trace)
-		o.ReadBytes.Add(int64(n))
 		o.Tracer.EmitSpan(obs.OpRead, rsc, sc.Span, in.ino, n, start, d)
 	}
 	return int(n), nil

@@ -50,17 +50,7 @@ type FS struct {
 	seq   uint64 // global entry sequence
 	clock uint64 // logical mtime counter
 
-	// Stats
-	writes        int64
-	reads         int64
-	blocksFreed   int64
-	blocksSkipped int64 // Release returned false (shared block kept)
-	gcLogPages    int64
-	gcThorough    int64
-	stagedBytes   int64 // bytes accepted by the DRAM fast path
-	relinks       int64 // batched relink commits
-	relinkRuns    int64 // write entries appended by relinks
-	relinkPages   int64 // pages made durable by relinks
+	ctr counters // activity counters; see obs.go
 }
 
 // Option configures Mkfs/Mount.
@@ -242,11 +232,11 @@ func (fs *FS) Allocator() *Allocator { return fs.alloc }
 // true if the block went back to the free pool.
 func (fs *FS) freeData(block uint64) bool {
 	if fs.releaser != nil && !fs.releaser.Release(block) {
-		atomic.AddInt64(&fs.blocksSkipped, 1)
+		fs.ctr.BlocksSkipped.Inc()
 		return false
 	}
 	fs.alloc.Free(block, 1)
-	atomic.AddInt64(&fs.blocksFreed, 1)
+	fs.ctr.BlocksFreed.Inc()
 	return true
 }
 
@@ -268,20 +258,9 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (fs *FS) Stats() Stats {
-	return Stats{
-		Writes:        atomic.LoadInt64(&fs.writes),
-		Reads:         atomic.LoadInt64(&fs.reads),
-		BlocksFreed:   atomic.LoadInt64(&fs.blocksFreed),
-		BlocksSkipped: atomic.LoadInt64(&fs.blocksSkipped),
-		GCLogPages:    atomic.LoadInt64(&fs.gcLogPages),
-		GCThorough:    atomic.LoadInt64(&fs.gcThorough),
-		StagedBytes:   atomic.LoadInt64(&fs.stagedBytes),
-		Relinks:       atomic.LoadInt64(&fs.relinks),
-		RelinkRuns:    atomic.LoadInt64(&fs.relinkRuns),
-		RelinkPages:   atomic.LoadInt64(&fs.relinkPages),
-		FreeBlocks:    fs.alloc.FreeBlocks(),
-		TotalBlocks:   fs.Geo.NumDataBlocks,
-	}
+	st := Stats{FreeBlocks: fs.alloc.FreeBlocks(), TotalBlocks: fs.Geo.NumDataBlocks}
+	obs.LoadFields(&st, &fs.ctr)
+	return st
 }
 
 // Unmount relinks any staged data, persists DRAM inode state (sizes,

@@ -2,7 +2,6 @@ package nova
 
 import (
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"denova/internal/obs"
@@ -221,8 +220,8 @@ func (fs *FS) thoroughGCLocked(in *Inode) (reclaimedPages int) {
 	in.logHead = newPages[0]
 	in.logPages = append(append(newPages, tailPage), spares...)
 	in.live = newLive
-	atomic.AddInt64(&fs.gcLogPages, int64(reclaimed))
-	atomic.AddInt64(&fs.gcThorough, 1)
+	fs.ctr.GCLogPages.Add(int64(reclaimed))
+	fs.ctr.GCThorough.Inc()
 
 	// Entries awaiting deduplication moved; re-feed the queue with their
 	// new offsets (the stale nodes for the old offsets will be skipped).

@@ -2,7 +2,6 @@ package nova
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"denova/internal/layout"
 )
@@ -277,6 +276,6 @@ func (fs *FS) fastGCLocked(in *Inode, pg uint64) bool {
 	in.logPages = append(in.logPages[:idx], in.logPages[idx+1:]...)
 	delete(in.live, pg)
 	fs.alloc.Free(pg, 1)
-	atomic.AddInt64(&fs.gcLogPages, 1)
+	fs.ctr.GCLogPages.Inc()
 	return true
 }

@@ -31,10 +31,6 @@ type Observer struct {
 	RelinkFill    *obs.Histogram // relink data drain to PM (fine only)
 	RelinkLog     *obs.Histogram // relink batched log append+commit (fine only)
 	RelinkInstall *obs.Histogram // relink radix install + reclaim (fine only)
-
-	WriteBytes  *obs.Counter
-	ReadBytes   *obs.Counter
-	StagedBytes *obs.Counter
 }
 
 // NewObserver resolves the nova metric set from reg. tracer may be nil.
@@ -57,16 +53,36 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer, fine bool) *Observer {
 		RelinkFill:    reg.Histogram("nova.write.relink.fill"),
 		RelinkLog:     reg.Histogram("nova.write.relink.log_commit"),
 		RelinkInstall: reg.Histogram("nova.write.relink.install"),
-		WriteBytes:    reg.Counter("nova.write.bytes"),
-		ReadBytes:     reg.Counter("nova.read.bytes"),
-		StagedBytes:   reg.Counter("nova.write.stage.bytes"),
 	}
+}
+
+// counters are the file system's activity counters: the counted Stats
+// fields plus the payload byte totals. They are counted whether or not an
+// Observer is installed and are the only copy of each number.
+type counters struct {
+	Writes        obs.Counter `metric:"nova.writes"` // write entries appended
+	Reads         obs.Counter `metric:"nova.reads"`
+	WriteBytes    obs.Counter `metric:"nova.write.bytes"`
+	ReadBytes     obs.Counter `metric:"nova.read.bytes"`
+	StagedBytes   obs.Counter `metric:"nova.write.stage.bytes"`
+	BlocksFreed   obs.Counter `metric:"nova.blocks_freed"`
+	BlocksSkipped obs.Counter `metric:"nova.blocks_skipped"`
+	GCLogPages    obs.Counter `metric:"nova.gc_log_pages"`
+	GCThorough    obs.Counter `metric:"nova.gc_thorough_passes"`
+	Relinks       obs.Counter `metric:"nova.relinks"`
+	RelinkRuns    obs.Counter `metric:"nova.relink_runs"`
+	RelinkPages   obs.Counter `metric:"nova.relink_pages"`
+}
+
+// RegisterMetrics registers the nova counters under their nova.* names,
+// and the allocator's free and total block counts as computed gauges.
+func (fs *FS) RegisterMetrics(r *obs.Registry) {
+	r.RegisterFields(&fs.ctr)
+	r.GaugeFunc("nova.free_blocks", fs.FreeBlocks)
+	r.GaugeFunc("nova.total_blocks", func() int64 { return fs.Geo.NumDataBlocks })
 }
 
 // SetObserver installs (or removes, with nil) the metrics observer. Call
 // before the file system takes traffic; installation is not synchronized
 // with in-flight operations.
 func (fs *FS) SetObserver(o *Observer) { fs.obs = o }
-
-// Observer returns the installed observer (nil when none).
-func (fs *FS) Observer() *Observer { return fs.obs }

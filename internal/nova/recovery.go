@@ -29,6 +29,17 @@ type RecoveryPass struct {
 	Pmem pmem.Stats // device counter delta over the pass
 }
 
+// TimePass runs fn as the recovery pass name and appends its wall-clock
+// time and device-counter delta to passes. Every mount pass (nova, dedup
+// and the FACT check of a ModeNone mount) is timed through it.
+func TimePass(dev *pmem.Device, passes *[]RecoveryPass, name string, fn func() error) error {
+	start := time.Now()
+	before := dev.Stats()
+	err := fn()
+	*passes = append(*passes, RecoveryPass{Name: name, Wall: time.Since(start), Pmem: dev.Stats().Sub(before)})
+	return err
+}
+
 // ScanResult is everything the mount-time log scan learns that the
 // deduplication layer needs (§V-C): the entries still awaiting
 // deduplication, the entries caught mid-transaction, and the block usage
@@ -68,20 +79,6 @@ type ScanResult struct {
 	GCPages int
 	// Passes is the per-pass timing/access breakdown of the mount.
 	Passes []RecoveryPass
-}
-
-// timedPass runs fn and appends its wall-clock and device-counter cost to
-// res.Passes.
-func (fs *FS) timedPass(res *ScanResult, name string, fn func() error) error {
-	start := time.Now()
-	before := fs.Dev.Stats()
-	err := fn()
-	res.Passes = append(res.Passes, RecoveryPass{
-		Name: name,
-		Wall: time.Since(start),
-		Pmem: fs.Dev.Stats().Sub(before),
-	})
-	return err
 }
 
 // WithMountWorkers sets the worker-pool size for the parallel mount passes
@@ -162,7 +159,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 
 	// Pass 1: load every valid inode record, sharded by inode range.
 	var files []*Inode
-	err = fs.timedPass(res, "inode-scan", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "inode-scan", func() error {
 		var perr error
 		files, perr = fs.scanInodeTable(workers)
 		return perr
@@ -185,7 +182,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 		ino  uint64
 	}
 	var repairs []repair
-	err = fs.timedPass(res, "namespace", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "namespace", func() error {
 		reachable := map[uint64]bool{RootIno: true}
 		queue := []*Inode{fs.root}
 		for len(queue) > 0 {
@@ -252,7 +249,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// the merge below ORs the bitmaps, concatenates the entry lists (the
 	// final sort by Seq restores global order) and takes the seq/clock
 	// maxima, so the result is independent of scheduling.
-	err = fs.timedPass(res, "log-replay", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "log-replay", func() error {
 		return fs.replayFilesParallel(files, res, workers)
 	})
 	if err != nil {
@@ -262,7 +259,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// Pass 5 (directories + allocator): directory logs were replayed during
 	// the BFS; mark their pages, then rebuild the allocator from the merged
 	// bitmap.
-	err = fs.timedPass(res, "alloc-rebuild", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "alloc-rebuild", func() error {
 		for _, in := range fs.inodes {
 			if !in.dir {
 				continue
@@ -284,7 +281,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// case a repair grows the directory log). A failed repair fails the
 	// mount: leaving the prune volatile-only would resurrect the dangling
 	// name on the next crash.
-	err = fs.timedPass(res, "repairs", func() error {
+	err = TimePass(fs.Dev, &res.Passes, "repairs", func() error {
 		for _, r := range repairs {
 			err := func() error {
 				r.dir.mu.Lock()
@@ -315,7 +312,7 @@ func Mount(dev *pmem.Device, opts ...Option) (*FS, *ScanResult, error) {
 	// drained it) is never revisited by runtime fast GC — nothing will
 	// ever drop its live count again — so it would leak until a thorough
 	// GC rewrite. Reclaim such pages now, in ascending inode order.
-	_ = fs.timedPass(res, "log-gc", func() error {
+	_ = TimePass(fs.Dev, &res.Passes, "log-gc", func() error {
 		for _, in := range files {
 			func() {
 				in.mu.Lock()

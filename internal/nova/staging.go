@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"denova/internal/obs"
@@ -137,11 +136,10 @@ func (fs *FS) StageWriteCtx(in *Inode, off uint64, data []byte, flag uint8, sc o
 		st.size = end
 	}
 	st.mu.Unlock()
-	atomic.AddInt64(&fs.stagedBytes, int64(len(data)))
+	fs.ctr.StagedBytes.Add(int64(len(data)))
 	if o != nil {
 		d := time.Since(start)
 		o.Stage.ObserveSpan(d, ssc.Trace)
-		o.StagedBytes.Add(int64(len(data)))
 		o.Tracer.EmitSpan(obs.OpStageWrite, ssc, sc.Span, in.ino, uint64(len(data)), start, d)
 	}
 	return len(data), nil
@@ -307,10 +305,10 @@ func (fs *FS) relinkLocked(in *Inode) (runs int, err error) {
 	st.size = 0
 	st.sc = obs.SpanContext{}
 
-	atomic.AddInt64(&fs.relinks, 1)
-	atomic.AddInt64(&fs.relinkRuns, int64(len(exts)))
-	atomic.AddInt64(&fs.relinkPages, int64(pages))
-	atomic.AddInt64(&fs.writes, int64(len(exts)))
+	fs.ctr.Relinks.Inc()
+	fs.ctr.RelinkRuns.Add(int64(len(exts)))
+	fs.ctr.RelinkPages.Add(int64(pages))
+	fs.ctr.Writes.Add(int64(len(exts)))
 
 	// One enqueue per relinked run: the dedup daemon sees exactly one
 	// entry per contiguous extent, not one per staged write.

@@ -5,20 +5,31 @@
 //
 // The design goal is that instrumentation can stay enabled on hot paths:
 // observing a latency costs a handful of atomic adds (no locks, no
-// allocation), and tracing is a single atomic load when disabled. Layers
-// (nova, fact, dedup) hold direct *Counter/*Histogram pointers resolved
-// once at mount, so the registry map is never touched on an operation path.
+// allocation), and tracing is a single atomic load when disabled.
+//
+// Every number exists once. A layer (pmem, nova, fact, dedup, server)
+// declares the counters it owns as Counter/Gauge struct fields, counts into
+// them unconditionally, and registers their addresses under their metric
+// names in one place; derived values (free blocks, queue depth, worker
+// sums) are registered as functions. A scrape reads every value in place,
+// so the registry map is never touched on an operation path and there is
+// no copy to drift.
 package obs
 
 import (
+	"maps"
 	"math/bits"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Counter is a monotonically increasing (or externally mirrored) int64.
+// Counter is a monotonically increasing int64. The zero value is ready to
+// use: layers declare counters as tagged struct fields and register them
+// (RegisterFields), so the field is the only copy of the number. Counters
+// are never reset; measure a phase as the difference of two reads.
 type Counter struct{ v int64 }
 
 // Add increments the counter by n.
@@ -26,11 +37,6 @@ func (c *Counter) Add(n int64) { atomic.AddInt64(&c.v, n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { atomic.AddInt64(&c.v, 1) }
-
-// Store overwrites the value; used to mirror counters maintained elsewhere
-// (pmem/fact/dedup keep their own atomics) into the registry at snapshot
-// time.
-func (c *Counter) Store(n int64) { atomic.StoreInt64(&c.v, n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return atomic.LoadInt64(&c.v) }
@@ -40,6 +46,10 @@ type Gauge struct{ v int64 }
 
 // Store sets the gauge.
 func (g *Gauge) Store(n int64) { atomic.StoreInt64(&g.v, n) }
+
+// Add moves the gauge by n and returns the new value, so a gauge can be
+// the only copy of a level that admission decisions compare against.
+func (g *Gauge) Add(n int64) int64 { return atomic.AddInt64(&g.v, n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return atomic.LoadInt64(&g.v) }
@@ -314,13 +324,17 @@ func (h *Histogram) Stats() HistogramStats {
 	return st
 }
 
-// Registry is a named collection of metrics. Lookups lock; hot paths should
-// resolve their metrics once and keep the pointers.
+// Registry is a named collection of metrics. It holds pointers to the
+// counters and gauges layers own (plus the computed metrics), never copies.
+// Lookups lock; hot paths should resolve their metrics once and keep the
+// pointers.
 type Registry struct {
 	mu    sync.Mutex //denova:locks(obs.registry)
 	ctrs  map[string]*Counter
 	gaugs map[string]*Gauge
 	hists map[string]*Histogram
+	cfns  map[string]func() int64 // computed counters
+	gfns  map[string]func() int64 // computed gauges
 }
 
 // NewRegistry returns an empty registry.
@@ -329,75 +343,106 @@ func NewRegistry() *Registry {
 		ctrs:  make(map[string]*Counter),
 		gaugs: make(map[string]*Gauge),
 		hists: make(map[string]*Histogram),
+		cfns:  make(map[string]func() int64),
+		gfns:  make(map[string]func() int64),
 	}
+}
+
+// lookup returns m[name], creating it on first use.
+func lookup[T any](r *Registry, m map[string]*T, name string) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := m[name]
+	if !ok {
+		v = new(T)
+		m[name] = v
+	}
+	return v
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.ctrs[name]
-	if !ok {
-		c = &Counter{}
-		r.ctrs[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return lookup(r, r.ctrs, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gaugs[name]
-	if !ok {
-		g = &Gauge{}
-		r.gaugs[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return lookup(r, r.gaugs, name) }
 
 // Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+func (r *Registry) Histogram(name string) *Histogram { return lookup(r, r.hists, name) }
+
+// RegisterFields registers the Counter and Gauge fields of the struct c
+// points to, each under the name its `metric` tag gives; untagged fields
+// are skipped and a tagged field must be exported. This is how a layer
+// declares its counters: the name sits on the field, the field is the only
+// copy of the number, and the registry points at it so every scrape reads
+// it in place.
+func (r *Registry) RegisterFields(c any) {
+	v := reflect.ValueOf(c).Elem()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
+	for i := 0; i < v.NumField(); i++ {
+		name, ok := v.Type().Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		switch m := v.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			r.ctrs[name] = m
+		case *Gauge:
+			r.gaugs[name] = m
+		}
 	}
-	return h
 }
 
-// SetCounter mirrors an externally maintained monotonic value.
-func (r *Registry) SetCounter(name string, v int64) { r.Counter(name).Store(v) }
+// LoadFields copies each Counter field of the struct src points to into
+// the int64 field of the same name, if any, in the struct dst points to.
+// The layer Stats views are read this way from the registered counters, so
+// a view and a scrape can never disagree.
+func LoadFields(dst, src any) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		c, ok := s.Field(i).Addr().Interface().(*Counter)
+		if f := d.FieldByName(s.Type().Field(i).Name); ok && f.IsValid() {
+			f.SetInt(c.Load())
+		}
+	}
+}
+
+// CounterFunc registers a computed counter (e.g. a sum over per-worker
+// tallies). Snapshot calls f after releasing the registry lock, so f may
+// take any lock the declared order puts before obs.registry.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	r.mu.Lock()
+	r.cfns[name] = f
+	r.mu.Unlock()
+}
+
+// GaugeFunc is CounterFunc for gauges (free blocks, queue depth, ...).
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	r.mu.Lock()
+	r.gfns[name] = f
+	r.mu.Unlock()
+}
 
 // SetGauge sets an instantaneous value.
 func (r *Registry) SetGauge(name string, v int64) { r.Gauge(name).Store(v) }
 
 // Snapshot captures every metric. The maps are freshly allocated; the
-// caller owns them.
+// caller owns them. The registry lock only guards collecting the metric
+// set: values, including computed ones, are read after it is released.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
-	names := struct{ c, g, h []string }{}
-	ctrs := make(map[string]*Counter, len(r.ctrs))
+	ctrs := make(map[string]func() int64, len(r.ctrs)+len(r.cfns))
+	gaugs := make(map[string]func() int64, len(r.gaugs)+len(r.gfns))
 	for n, c := range r.ctrs {
-		names.c = append(names.c, n)
-		ctrs[n] = c
+		ctrs[n] = c.Load
 	}
-	gaugs := make(map[string]*Gauge, len(r.gaugs))
 	for n, g := range r.gaugs {
-		names.g = append(names.g, n)
-		gaugs[n] = g
+		gaugs[n] = g.Load
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		names.h = append(names.h, n)
-		hists[n] = h
-	}
+	maps.Copy(ctrs, r.cfns)
+	maps.Copy(gaugs, r.gfns)
+	hists := maps.Clone(r.hists)
 	r.mu.Unlock()
-	sort.Strings(names.c)
-	sort.Strings(names.g)
-	sort.Strings(names.h)
 
 	snap := Snapshot{
 		Counters:   make(map[string]int64, len(ctrs)),
@@ -405,15 +450,15 @@ func (r *Registry) Snapshot() Snapshot {
 		Histograms: make(map[string]HistogramStats, len(hists)),
 		Buckets:    make(map[string][]BucketCount, len(hists)),
 	}
-	for _, n := range names.c {
-		snap.Counters[n] = ctrs[n].Load()
+	for n, f := range ctrs {
+		snap.Counters[n] = f()
 	}
-	for _, n := range names.g {
-		snap.Gauges[n] = gaugs[n].Load()
+	for n, f := range gaugs {
+		snap.Gauges[n] = f()
 	}
-	for _, n := range names.h {
-		snap.Histograms[n] = hists[n].Stats()
-		if b := hists[n].Buckets(); len(b) > 0 {
+	for n, h := range hists {
+		snap.Histograms[n] = h.Stats()
+		if b := h.Buckets(); len(b) > 0 {
 			snap.Buckets[n] = b
 		}
 	}

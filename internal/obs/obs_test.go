@@ -197,6 +197,39 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
+// TestRegisterFields covers layer-owned metrics: tagged fields are read in
+// place, untagged ones are skipped, LoadFields copies counters into a view
+// by field name, and computed metrics run after the registry lock is
+// released (this one takes it again, which would deadlock otherwise).
+func TestRegisterFields(t *testing.T) {
+	r := NewRegistry()
+	var c struct {
+		Ops   Counter `metric:"x.ops"`
+		Depth Gauge   `metric:"x.depth"`
+		Other Counter
+	}
+	r.RegisterFields(&c)
+	c.Ops.Add(3)
+	if got := c.Depth.Add(5); got != 5 {
+		t.Fatalf("Gauge.Add returned %d, want 5", got)
+	}
+	r.GaugeFunc("x.via_registry", func() int64 { return r.Counter("x.ops").Load() })
+	r.CounterFunc("x.double", func() int64 { return 2 * c.Ops.Load() })
+	snap := r.Snapshot()
+	if snap.Counters["x.ops"] != 3 || snap.Gauges["x.depth"] != 5 ||
+		snap.Gauges["x.via_registry"] != 3 || snap.Counters["x.double"] != 6 {
+		t.Fatalf("bad snapshot: %+v", snap)
+	}
+	if len(snap.Counters) != 2 || len(snap.Gauges) != 2 {
+		t.Fatalf("untagged field registered: %+v", snap)
+	}
+	var view struct{ Ops, Missing int64 }
+	LoadFields(&view, &c)
+	if view.Ops != 3 || view.Missing != 0 {
+		t.Fatalf("LoadFields view = %+v", view)
+	}
+}
+
 func TestPrometheusExport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("nova.write.ops").Add(5)

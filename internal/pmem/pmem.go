@@ -76,7 +76,7 @@ type Device struct {
 	// word-granular lock striping for atomic 8-byte operations
 	atomMu [dirtyShards]sync.Mutex //denova:locks(pmem.word)
 
-	stats Stats
+	ctr counters // access counters; see stats.go
 
 	// shadow ordering tracker (see shadow.go); off by default
 	shadowOn  int32
@@ -145,9 +145,9 @@ func (d *Device) Read(off int64, p []byte) {
 	d.check(off, len(p))
 	d.checkDead()
 	lines := linesSpanned(off, len(p))
-	atomic.AddInt64(&d.stats.ReadOps, 1)
-	atomic.AddInt64(&d.stats.ReadLines, lines)
-	atomic.AddInt64(&d.stats.ReadBytes, int64(len(p)))
+	d.ctr.ReadOps.Inc()
+	d.ctr.ReadLines.Add(lines)
+	d.ctr.ReadBytes.Add(int64(len(p)))
 	d.chargeRead(time_Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	copy(p, d.buf[off:off+int64(len(p))])
 }
@@ -158,7 +158,7 @@ func (d *Device) Read(off int64, p []byte) {
 func (d *Device) Write(off int64, p []byte) {
 	d.check(off, len(p))
 	d.checkDead()
-	atomic.AddInt64(&d.stats.WrittenBytes, int64(len(p)))
+	d.ctr.WrittenBytes.Add(int64(len(p)))
 	d.saveOld(off, len(p))
 	copy(d.buf[off:], p)
 }
@@ -172,7 +172,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	if len(p) == 0 {
 		return
 	}
-	atomic.AddInt64(&d.stats.WrittenBytes, int64(len(p)))
+	d.ctr.WrittenBytes.Add(int64(len(p)))
 	lines := linesSpanned(off, len(p))
 	// Fast path: no crash injector armed and no dirty pre-images anywhere —
 	// one copy and two counter updates. The bookkeeping must stay far below
@@ -180,7 +180,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 	// overhead instead of device behaviour.
 	if atomic.LoadInt32(&d.crashArmed) == 0 && atomic.LoadInt64(&d.dirtyCount) == 0 {
 		copy(d.buf[off:], p)
-		atomic.AddInt64(&d.stats.NTLines, lines)
+		d.ctr.NTLines.Add(lines)
 		atomic.AddInt64(&d.persistOps, lines)
 		if d.ShadowEnabled() {
 			atomic.AddInt64(&d.fenceWork, 1)
@@ -202,7 +202,7 @@ func (d *Device) WriteNT(off int64, p []byte) {
 		// pre-image for the line is obsolete (the whole line persists).
 		copy(d.buf[pos:], rem[:n])
 		d.persistLine(lineOf(pos))
-		atomic.AddInt64(&d.stats.NTLines, 1)
+		d.ctr.NTLines.Inc()
 		d.persistPoint()
 		pos += int64(n)
 		rem = rem[n:]
@@ -227,7 +227,7 @@ func (d *Device) Flush(off int64, n int) {
 		if !d.persistLine(l) {
 			redundant++
 		}
-		atomic.AddInt64(&d.stats.FlushedLines, 1)
+		d.ctr.FlushedLines.Inc()
 		d.persistPoint()
 	}
 	if d.ShadowEnabled() {
@@ -241,7 +241,7 @@ func (d *Device) Flush(off int64, n int) {
 // API so call sites document the ordering they rely on.
 func (d *Device) Fence() {
 	d.checkDead()
-	atomic.AddInt64(&d.stats.Fences, 1)
+	d.ctr.Fences.Inc()
 	if d.ShadowEnabled() {
 		d.shadowFence()
 	}
@@ -267,8 +267,8 @@ func (d *Device) Load64(off int64) uint64 {
 	mu.Lock()
 	v := binary.LittleEndian.Uint64(d.buf[off:])
 	mu.Unlock()
-	atomic.AddInt64(&d.stats.ReadOps, 1)
-	atomic.AddInt64(&d.stats.ReadLines, 1)
+	d.ctr.ReadOps.Inc()
+	d.ctr.ReadLines.Inc()
 	d.chargeRead(d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 	return v
 }
@@ -297,9 +297,9 @@ func (d *Device) LoadWords(off int64, dst []uint64) {
 		mu.Unlock()
 	}
 	lines := linesSpanned(off, n)
-	atomic.AddInt64(&d.stats.ReadOps, 1)
-	atomic.AddInt64(&d.stats.ReadLines, lines)
-	atomic.AddInt64(&d.stats.ReadBytes, int64(n))
+	d.ctr.ReadOps.Inc()
+	d.ctr.ReadLines.Add(lines)
+	d.ctr.ReadBytes.Add(int64(n))
 	d.chargeRead(time_Duration(lines)*d.prof.ReadPerLine + d.prof.ReadAccessOverhead)
 }
 
@@ -318,7 +318,7 @@ func (d *Device) Store64(off int64, v uint64) {
 	d.saveOld(off, 8)
 	binary.LittleEndian.PutUint64(d.buf[off:], v)
 	mu.Unlock()
-	atomic.AddInt64(&d.stats.WrittenBytes, 8)
+	d.ctr.WrittenBytes.Add(8)
 }
 
 // PersistStore64 is Store64 followed by Flush+Fence of the word.
@@ -345,7 +345,7 @@ func (d *Device) CAS64(off int64, old, new uint64) bool {
 	d.saveOld(off, 8)
 	binary.LittleEndian.PutUint64(d.buf[off:], new)
 	mu.Unlock()
-	atomic.AddInt64(&d.stats.WrittenBytes, 8)
+	d.ctr.WrittenBytes.Add(8)
 	return true
 }
 
@@ -363,7 +363,7 @@ func (d *Device) Add64(off int64, delta uint64) uint64 {
 	v := binary.LittleEndian.Uint64(d.buf[off:]) + delta
 	binary.LittleEndian.PutUint64(d.buf[off:], v)
 	mu.Unlock()
-	atomic.AddInt64(&d.stats.WrittenBytes, 8)
+	d.ctr.WrittenBytes.Add(8)
 	return v
 }
 

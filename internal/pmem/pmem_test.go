@@ -220,12 +220,12 @@ func TestAdd64Concurrent(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	t.Parallel()
 	d := newDev(t, 4)
-	d.ResetStats()
+	before := d.Stats()
 	d.Write(0, make([]byte, 128))
 	d.Flush(0, 128) // 2 lines
 	d.Fence()
 	d.Read(0, make([]byte, 65)) // spans 2 lines
-	s := d.Stats()
+	s := d.Stats().Sub(before)
 	if s.FlushedLines != 2 {
 		t.Errorf("FlushedLines = %d, want 2", s.FlushedLines)
 	}

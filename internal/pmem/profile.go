@@ -135,7 +135,7 @@ func (d *Device) chargeClass(dur time.Duration, inflight *int32) {
 		}
 		defer atomic.AddInt32(inflight, -1)
 	}
-	atomic.AddInt64(&d.stats.SimLatencyNs, int64(dur))
+	d.ctr.SimLatencyNs.Add(int64(dur))
 	spinWait(dur)
 }
 

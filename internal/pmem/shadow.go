@@ -74,8 +74,8 @@ func (d *Device) ShadowViolations() []ShadowViolation {
 	return append([]ShadowViolation(nil), d.shadow.violations...)
 }
 
-// ResetShadow clears recorded violations (counters live in Stats and are
-// cleared by ResetStats).
+// ResetShadow clears recorded violations. The shadow counters in Stats are
+// monotonic like every device counter; take a Sub delta to scope them.
 func (d *Device) ResetShadow() {
 	d.shadow.mu.Lock()
 	d.shadow.violations = nil
@@ -118,7 +118,7 @@ func (d *Device) CheckpointClean(label string) int {
 		return 0
 	}
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	atomic.AddInt64(&d.stats.UnflushedAtCheckpoint, int64(total))
+	d.ctr.UnflushedAtCheckpoint.Add(int64(total))
 	if d.ShadowEnabled() {
 		d.recordViolation(ShadowViolation{
 			Kind:  "unflushed-at-checkpoint",
@@ -135,7 +135,7 @@ func (d *Device) CheckpointClean(label string) int {
 func (d *Device) shadowFlush(redundant int64) {
 	atomic.AddInt64(&d.fenceWork, 1)
 	if redundant > 0 {
-		atomic.AddInt64(&d.stats.RedundantFlushLines, redundant)
+		d.ctr.RedundantFlushLines.Add(redundant)
 		d.recordViolation(ShadowViolation{Kind: "redundant-flush", Count: redundant})
 	}
 }
@@ -144,7 +144,7 @@ func (d *Device) shadowFlush(redundant int64) {
 // enabled.
 func (d *Device) shadowFence() {
 	if atomic.SwapInt64(&d.fenceWork, 0) == 0 {
-		atomic.AddInt64(&d.stats.FencesWithoutFlush, 1)
+		d.ctr.FencesWithoutFlush.Inc()
 		d.recordViolation(ShadowViolation{Kind: "fence-without-flush", Count: 1})
 	}
 }

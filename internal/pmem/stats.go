@@ -2,7 +2,8 @@ package pmem
 
 import (
 	"fmt"
-	"sync/atomic"
+
+	"denova/internal/obs"
 )
 
 // Stats aggregates device access counters. All fields are maintained with
@@ -34,37 +35,30 @@ type Stats struct {
 	FencesWithoutFlush    int64
 }
 
-// Stats returns a snapshot of the device counters.
-func (d *Device) Stats() Stats {
-	return Stats{
-		ReadOps:      atomic.LoadInt64(&d.stats.ReadOps),
-		ReadLines:    atomic.LoadInt64(&d.stats.ReadLines),
-		FlushedLines: atomic.LoadInt64(&d.stats.FlushedLines),
-		NTLines:      atomic.LoadInt64(&d.stats.NTLines),
-		Fences:       atomic.LoadInt64(&d.stats.Fences),
-		ReadBytes:    atomic.LoadInt64(&d.stats.ReadBytes),
-		WrittenBytes: atomic.LoadInt64(&d.stats.WrittenBytes),
-		SimLatencyNs: atomic.LoadInt64(&d.stats.SimLatencyNs),
+// counters are the device's access counters, one per Stats field: the only
+// copy of each number. They only grow; measure a phase with Sub.
+type counters struct {
+	ReadOps      obs.Counter `metric:"pmem.read_ops"`
+	ReadLines    obs.Counter `metric:"pmem.read_lines"`
+	FlushedLines obs.Counter `metric:"pmem.flushed_lines"`
+	NTLines      obs.Counter `metric:"pmem.nt_lines"`
+	Fences       obs.Counter `metric:"pmem.fences"`
+	ReadBytes    obs.Counter `metric:"pmem.read_bytes"`
+	WrittenBytes obs.Counter `metric:"pmem.written_bytes"`
+	SimLatencyNs obs.Counter `metric:"pmem.sim_latency_ns"`
 
-		UnflushedAtCheckpoint: atomic.LoadInt64(&d.stats.UnflushedAtCheckpoint),
-		RedundantFlushLines:   atomic.LoadInt64(&d.stats.RedundantFlushLines),
-		FencesWithoutFlush:    atomic.LoadInt64(&d.stats.FencesWithoutFlush),
-	}
+	UnflushedAtCheckpoint obs.Counter `metric:"pmem.unflushed_at_checkpoint"`
+	RedundantFlushLines   obs.Counter `metric:"pmem.redundant_flush_lines"`
+	FencesWithoutFlush    obs.Counter `metric:"pmem.fences_without_flush"`
 }
 
-// ResetStats zeroes all counters.
-func (d *Device) ResetStats() {
-	atomic.StoreInt64(&d.stats.ReadOps, 0)
-	atomic.StoreInt64(&d.stats.ReadLines, 0)
-	atomic.StoreInt64(&d.stats.FlushedLines, 0)
-	atomic.StoreInt64(&d.stats.NTLines, 0)
-	atomic.StoreInt64(&d.stats.Fences, 0)
-	atomic.StoreInt64(&d.stats.ReadBytes, 0)
-	atomic.StoreInt64(&d.stats.WrittenBytes, 0)
-	atomic.StoreInt64(&d.stats.SimLatencyNs, 0)
-	atomic.StoreInt64(&d.stats.UnflushedAtCheckpoint, 0)
-	atomic.StoreInt64(&d.stats.RedundantFlushLines, 0)
-	atomic.StoreInt64(&d.stats.FencesWithoutFlush, 0)
+// RegisterMetrics registers the device counters under their pmem.* names.
+func (d *Device) RegisterMetrics(r *obs.Registry) { r.RegisterFields(&d.ctr) }
+
+// Stats returns a snapshot of the device counters.
+func (d *Device) Stats() (s Stats) {
+	obs.LoadFields(&s, &d.ctr)
+	return s
 }
 
 // Sub returns s minus t, field-wise. Useful for measuring a phase.

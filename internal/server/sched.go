@@ -104,7 +104,7 @@ func (s *Server) worker(q chan task) {
 			of.arrival, of.wstart = t.arrival, time.Now()
 		}
 		t.sess.send(of)
-		s.inflight.Add(-1)
+		s.ctr.Inflight.Add(-1)
 	}
 }
 

@@ -74,6 +74,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// counters are the server's counts, registered in the FS registry by New.
+// Inflight and Conns are the only in-flight and connection counts:
+// admission compares against the value Inflight.Add returns. They live
+// apart from the Server so the registry, which outlives a closed server,
+// does not keep its sessions and handle table reachable.
+type counters struct {
+	Inflight  obs.Gauge   `metric:"serve.inflight"`
+	Conns     obs.Gauge   `metric:"serve.conns"`
+	Admitted  obs.Counter `metric:"serve.admitted"`
+	Shed      obs.Counter `metric:"serve.shed"`
+	ProtoErrs obs.Counter `metric:"serve.proto_errors"`
+}
+
 // Server serves one mounted FS over TCP. Create with New, start with
 // Start, stop with Close.
 type Server struct {
@@ -84,13 +97,7 @@ type Server struct {
 	queues []chan task
 	closed atomic.Bool
 
-	inflight   atomic.Int64
-	inflightG  *obs.Gauge
-	admitted   *obs.Counter
-	shed       *obs.Counter
-	protoErrs  *obs.Counter
-	connsG     *obs.Gauge
-	conns      atomic.Int64
+	ctr        *counters
 	opHists    []*obs.Histogram
 	workerWG   sync.WaitGroup
 	connWG     sync.WaitGroup
@@ -111,13 +118,10 @@ func New(fs *denova.FS, cfg Config) *Server {
 		fs:       fs,
 		cfg:      cfg,
 		sessions: make(map[*session]struct{}),
+		ctr:      new(counters),
 	}
 	reg := fs.Registry()
-	s.admitted = reg.Counter("serve.admitted")
-	s.shed = reg.Counter("serve.shed")
-	s.protoErrs = reg.Counter("serve.proto_errors")
-	s.inflightG = reg.Gauge("serve.inflight")
-	s.connsG = reg.Gauge("serve.conns")
+	reg.RegisterFields(s.ctr)
 	s.opHists = make([]*obs.Histogram, wire.OpCommit+1)
 	for _, op := range wire.Ops() {
 		s.opHists[op] = reg.Histogram("serve.op." + op.String())
@@ -248,12 +252,12 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 	s.sessions[sess] = struct{}{}
 	s.mu.Unlock()
-	s.connsG.Store(s.conns.Add(1))
+	s.ctr.Conns.Add(1)
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, sess)
 		s.mu.Unlock()
-		s.connsG.Store(s.conns.Add(-1))
+		s.ctr.Conns.Add(-1)
 	}()
 
 	var writerWG sync.WaitGroup
@@ -302,7 +306,7 @@ func (s *Server) readLoop(sess *session) {
 		}
 		req, err := wire.DecodeRequest(payload)
 		if err != nil {
-			s.protoErrs.Inc()
+			s.ctr.ProtoErrs.Inc()
 			return
 		}
 		s.dispatch(sess, req)
@@ -325,13 +329,12 @@ func (s *Server) dispatch(sess *session, req *wire.Request) {
 	if sc.Valid() {
 		arrival = time.Now()
 	}
-	if n := s.inflight.Add(1); n > int64(s.cfg.MaxInflight) {
-		s.inflight.Add(-1)
+	if n := s.ctr.Inflight.Add(1); n > int64(s.cfg.MaxInflight) {
+		s.ctr.Inflight.Add(-1)
 		ts.shed.Inc()
 		s.shedReq(sess, req, sc, arrival, "server at max in-flight ops")
 		return
 	}
-	s.inflightG.Store(s.inflight.Load())
 	q := s.queues[shardKey(req)%uint64(len(s.queues))]
 	t := task{sess: sess, req: req, sc: sc, arrival: arrival}
 	if sc.Valid() {
@@ -339,13 +342,13 @@ func (s *Server) dispatch(sess *session, req *wire.Request) {
 	}
 	select {
 	case q <- t:
-		s.admitted.Inc()
+		s.ctr.Admitted.Inc()
 		if sc.Valid() {
 			s.tracer.EmitSpan(obs.OpServeAdmit, s.tracer.StartChild(sc), sc.Span,
 				uint64(req.Handle), uint64(req.Op), arrival, t.enqueued.Sub(arrival))
 		}
 	default:
-		s.inflight.Add(-1)
+		s.ctr.Inflight.Add(-1)
 		ts.shed.Inc()
 		s.shedReq(sess, req, sc, arrival, "worker queue full")
 	}
@@ -355,7 +358,7 @@ func (s *Server) dispatch(sess *session, req *wire.Request) {
 // A traced shed still closes its root span (with the shed reason's tiny
 // duration), so per-tenant shed storms are visible in traces too.
 func (s *Server) shedReq(sess *session, req *wire.Request, sc obs.SpanContext, arrival time.Time, why string) {
-	s.shed.Inc()
+	s.ctr.Shed.Inc()
 	frame, err := wire.EncodeResponse(&wire.Response{
 		ID: req.ID, Op: req.Op, Status: wire.StatusRetry, Msg: why,
 	})

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"denova"
 	"denova/internal/server/client"
@@ -29,6 +31,87 @@ func startServer(t *testing.T, cfg Config, mode denova.Mode, prof denova.Latency
 		fs.Unmount()
 	})
 	return fs, srv, addr
+}
+
+// TestServeInflightIdle checks that serve.inflight and serve.conns return
+// to zero once a client's requests have completed and it has hung up: the
+// gauges are the server's only in-flight and connection counts, so they
+// follow every admission, completion and disconnect.
+func TestServeInflightIdle(t *testing.T) {
+	fs, _, addr := startServer(t, Config{}, denova.ModeImmediate, denova.ProfileZero)
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			page := bytes.Repeat([]byte{byte(g)}, 4096)
+			for i := 0; i < 16; i++ {
+				if _, err := c.Write(h, uint64(g*16+i)*4096, page); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if _, err := c.Read(h, 0, 4096); err != nil {
+		t.Fatal(err)
+	}
+	// A worker releases its in-flight slot right after handing the reply
+	// to the session writer, so the gauge may trail the client by a moment.
+	settle := func(name string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			v := fs.Metrics().Gauges[name]
+			if v == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s = %d after the client went idle, want 0", name, v)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	settle("serve.inflight")
+	c.Close()
+	settle("serve.conns")
+}
+
+// TestClosedServerCollectable checks that registering the server's
+// counters in the FS registry, which lives as long as the FS, does not keep
+// a closed server (its sessions and handle table) reachable.
+func TestClosedServerCollectable(t *testing.T) {
+	fs, err := denova.Mkfs(denova.NewDevice(32<<20, denova.ProfileZero), denova.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Unmount()
+	collected := make(chan struct{})
+	func() {
+		srv := New(fs, Config{})
+		if _, err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(srv, func(*Server) { close(collected) })
+		srv.Close()
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("closed server still reachable after 50 GCs")
 }
 
 // TestServeEndToEnd drives every op through the client over loopback and

@@ -44,11 +44,19 @@ type SlowTrace = obs.SlowTrace
 // MetricsSnapshot is a stable point-in-time capture of every metric.
 type MetricsSnapshot = obs.Snapshot
 
-// initObs builds the registry and tracer and installs the per-layer
-// observers. Called by Mkfs/Mount after the layers exist and before any
-// traffic (including recovery reprocessing) runs.
+// initObs builds the registry and tracer, registers every layer's
+// counters and installs the per-layer observers. Called by Mkfs/Mount after
+// the layers exist and before any traffic (including recovery
+// reprocessing) runs. The daemon registers its worker metrics in wireMode,
+// where it is created.
 func (f *FS) initObs() {
 	f.reg = obs.NewRegistry()
+	f.dev.RegisterMetrics(f.reg)
+	f.fs.RegisterMetrics(f.reg)
+	if f.engine != nil {
+		f.table.RegisterMetrics(f.reg)
+		f.engine.RegisterMetrics(f.reg)
+	}
 	events := f.cfg.TraceEvents
 	if events <= 0 {
 		events = obs.DefaultTraceEvents
@@ -84,92 +92,30 @@ func (f *FS) initObs() {
 	})
 }
 
-// feedRecovery mirrors the mount-time recovery timeline into the registry,
-// making the PR-3 RecoveryInfo report one consumer of the shared metrics
-// rather than a bespoke side channel.
+// feedRecovery records the mount-time recovery timeline in the fresh
+// registry, making the RecoveryInfo report one consumer of the shared
+// metrics rather than a bespoke side channel.
 func (f *FS) feedRecovery(info *RecoveryInfo) {
 	h := f.reg.Histogram("recovery.pass")
 	for _, p := range info.Passes {
 		h.Observe(p.Wall)
-		f.reg.SetCounter("recovery.pass."+p.Name+".wall_ns", p.Wall.Nanoseconds())
-		f.reg.SetCounter("recovery.pass."+p.Name+".persisted_lines", p.Pmem.PersistedLines())
+		f.reg.Counter("recovery.pass." + p.Name + ".wall_ns").Add(p.Wall.Nanoseconds())
+		f.reg.Counter("recovery.pass." + p.Name + ".persisted_lines").Add(p.Pmem.PersistedLines())
 		f.tracer.Emit(obs.OpRecoveryPass, 0, uint64(p.Pmem.PersistedLines()), p.Wall)
 	}
-	f.reg.SetCounter("recovery.total_wall_ns", info.TotalWall().Nanoseconds())
+	f.reg.Counter("recovery.total_wall_ns").Add(info.TotalWall().Nanoseconds())
 }
 
-// refreshRegistry mirrors the point-in-time counters maintained by the
-// individual layers (pmem, nova, fact, dedup, queue, space) into the
-// registry so one snapshot carries everything.
-func (f *FS) refreshRegistry(st Stats) {
-	r := f.reg
-	d := st.Device
-	r.SetCounter("pmem.read_ops", d.ReadOps)
-	r.SetCounter("pmem.read_lines", d.ReadLines)
-	r.SetCounter("pmem.flushed_lines", d.FlushedLines)
-	r.SetCounter("pmem.nt_lines", d.NTLines)
-	r.SetCounter("pmem.fences", d.Fences)
-	r.SetCounter("pmem.read_bytes", d.ReadBytes)
-	r.SetCounter("pmem.written_bytes", d.WrittenBytes)
-	r.SetCounter("pmem.sim_latency_ns", d.SimLatencyNs)
-
-	r.SetCounter("nova.writes", st.FS.Writes)
-	r.SetCounter("nova.reads", st.FS.Reads)
-	r.SetCounter("nova.blocks_freed", st.FS.BlocksFreed)
-	r.SetCounter("nova.blocks_skipped", st.FS.BlocksSkipped)
-	r.SetCounter("nova.gc_log_pages", st.FS.GCLogPages)
-	r.SetCounter("nova.gc_thorough_passes", st.FS.GCThorough)
-	r.SetCounter("nova.relinks", st.FS.Relinks)
-	r.SetCounter("nova.relink_runs", st.FS.RelinkRuns)
-	r.SetCounter("nova.relink_pages", st.FS.RelinkPages)
-	r.SetGauge("nova.free_blocks", st.FS.FreeBlocks)
-
-	r.SetGauge("space.logical_pages", st.Space.LogicalPages)
-	r.SetGauge("space.physical_pages", st.Space.PhysicalPages)
-	r.SetGauge("space.savings_bp", int64(st.Space.Savings()*10000)) // basis points
-
-	if f.engine != nil {
-		r.SetCounter("fact.lookups", st.Fact.Lookups)
-		r.SetCounter("fact.walk_entries", st.Fact.WalkEntries)
-		r.SetCounter("fact.dup_hits", st.Fact.DupHits)
-		r.SetCounter("fact.inserts", st.Fact.Inserts)
-		r.SetCounter("fact.commits", st.Fact.Commits)
-		r.SetCounter("fact.decrefs", st.Fact.DecRefs)
-		r.SetCounter("fact.removes", st.Fact.Removes)
-		r.SetCounter("fact.reorders", st.Fact.Reorders)
-
-		r.SetCounter("dedup.entries_processed", st.Dedup.EntriesProcessed)
-		r.SetCounter("dedup.entries_skipped", st.Dedup.EntriesSkipped)
-		r.SetCounter("dedup.pages_scanned", st.Dedup.PagesScanned)
-		r.SetCounter("dedup.pages_duplicate", st.Dedup.PagesDuplicate)
-		r.SetCounter("dedup.pages_unique", st.Dedup.PagesUnique)
-		r.SetCounter("dedup.pages_stale", st.Dedup.PagesStale)
-		r.SetCounter("dedup.pages_owned", st.Dedup.PagesOwned)
-		r.SetCounter("dedup.bytes_deduped", st.Dedup.BytesDeduped)
-
-		r.SetGauge("dedup.queue.len", int64(st.Queue.Len))
-		r.SetGauge("dedup.queue.peak", int64(st.Queue.Peak))
-		r.SetCounter("dedup.queue.enqueued", st.Queue.Enqueued)
-		r.SetCounter("dedup.queue.dequeued", st.Queue.Dequeued)
-	}
-	if len(st.Workers) > 0 {
-		r.SetGauge("dedup.workers", int64(len(st.Workers)))
-		var nodes, busy int64
-		for _, w := range st.Workers {
-			nodes += w.Nodes
-			busy += w.BusyNs
-		}
-		r.SetCounter("dedup.worker_nodes", nodes)
-		r.SetCounter("dedup.worker_busy_ns", busy)
-	}
-}
-
-// Metrics gathers a complete metrics snapshot: the live latency histograms
-// plus every layer counter mirrored in. Like Stats, it walks all file
-// mappings (for the space figures), so call it between measurement phases,
-// not inside them. The returned maps are owned by the caller.
+// Metrics gathers a complete metrics snapshot. Every layer counter and
+// histogram is read in place from the registry, which costs O(metrics);
+// the three space.* gauges are first set from a walk of every file's
+// mappings (O(mapped pages)) until logical and physical page counts are
+// maintained incrementally. The returned maps are owned by the caller.
 func (f *FS) Metrics() MetricsSnapshot {
-	f.refreshRegistry(f.Stats())
+	sp := f.space()
+	f.reg.SetGauge("space.logical_pages", sp.LogicalPages)
+	f.reg.SetGauge("space.physical_pages", sp.PhysicalPages)
+	f.reg.SetGauge("space.savings_bp", int64(sp.Savings()*10000)) // basis points
 	return f.reg.Snapshot()
 }
 

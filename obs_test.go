@@ -113,7 +113,7 @@ func TestMetricsExposesOpHistograms(t *testing.T) {
 			t.Errorf("histogram %q percentiles not monotone: %+v", name, h)
 		}
 	}
-	// Layer counters are mirrored into the same snapshot.
+	// Layer counters are registered in the same snapshot.
 	for _, name := range []string{"nova.writes", "fact.lookups", "dedup.entries_processed", "pmem.fences"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %q zero or missing", name)
@@ -123,8 +123,9 @@ func TestMetricsExposesOpHistograms(t *testing.T) {
 		t.Error("space.savings_bp gauge zero: duplicate workload saw no dedup")
 	}
 
-	// Every layer counter Stats reports is mirrored, the staged relink path
-	// included: after a staged append plus Sync each reads the same in both.
+	// Every layer counter Stats reports is registered, the staged relink
+	// path included: after a staged append plus Sync each reads the same in
+	// both.
 	_, sfs := mkFS(t, Config{Mode: ModeImmediate, Staging: StagingConfig{MaxPages: 4}})
 	sf := writeAll(t, sfs, "staged", npages(1, 2))
 	if _, err := sf.WriteAt(npages(1, 3), 2*4096); err != nil {

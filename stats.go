@@ -118,6 +118,13 @@ func (f *FS) Stats() Stats {
 		st.Dedup = f.engine.Stats()
 		st.Fact = f.table.Stats()
 	}
+	st.Space = f.space()
+	return st
+}
+
+// space computes the capacity and deduplication figures. It walks every
+// file's mappings under each inode lock: O(mapped pages).
+func (f *FS) space() SpaceStats {
 	distinct := make(map[uint64]bool)
 	var logical int64
 	f.fs.WalkFiles(func(in *nova.Inode) {
@@ -129,13 +136,12 @@ func (f *FS) Stats() Stats {
 		})
 		in.Unlock()
 	})
-	st.Space = SpaceStats{
+	return SpaceStats{
 		TotalBlocks:   f.fs.Geo.NumDataBlocks,
 		FreeBlocks:    f.fs.FreeBlocks(),
 		LogicalPages:  logical,
 		PhysicalPages: int64(len(distinct)),
 	}
-	return st
 }
 
 // CheckFACTInvariants validates the deduplication metadata table's
